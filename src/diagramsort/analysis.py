@@ -14,14 +14,15 @@ published table.
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import permutations
 from typing import Sequence
 
-from .core import PartitionDiagram, _rgs_strings, enumerate_diagrams, format_diagram
-from .sorting import sort_diagram, sort_diagram_traced, sort_word
+from .core import PartitionDiagram, _min_bit, _rgs_strings, enumerate_diagrams, format_diagram
+from .sorting import Split, _expand, sort_diagram, sort_word
 from .stretch import is_stretch_of_identity
 
 __all__ = [
@@ -107,11 +108,14 @@ def is_sss_theorem(diagram: PartitionDiagram) -> bool:
             return False
         if not _is_interval(b):
             return False
-    _, trace = sort_diagram_traced(diagram)
-    for event in trace:
+    steps: list[Split] = []
+    _expand(diagram, steps)
+    for _, left, groups, right in steps:
+        # Rank factors L < M_1 < ... < M_k < R; tag each block by its least bottom node.
         tagged = sorted(
-            (min(-x for x in block if x < 0), tag.rank())
-            for block, tag in event.assignment.items()
+            (_min_bit(b), rank)
+            for rank, piece in enumerate((left, *groups, right))
+            for _, b in piece
         )
         for (_, earlier), (_, later) in zip(tagged, tagged[1:]):
             if later < earlier:
@@ -148,6 +152,11 @@ def _scan_args(args: tuple[int, tuple[int, ...], bool]) -> tuple[int, int]:
     return _scan(*args)
 
 
+def _worker_count(jobs: int, chunks: int) -> int:
+    """Worker processes worth starting: no more than the chunks or the CPUs."""
+    return max(1, min(jobs, chunks, os.cpu_count() or 1))
+
+
 def census_stretch_sortable(n: int, *, check: bool = False, jobs: int = 1) -> CensusRow:
     """Count stretch-stack-sortable diagrams among all diagrams of order n.
 
@@ -165,7 +174,7 @@ def census_stretch_sortable(n: int, *, check: bool = False, jobs: int = 1) -> Ce
         depth = min(2 * n, 4)
         chunks = [(n, p, check) for p in _rgs_strings(depth)]
         total = sortable = 0
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=_worker_count(jobs, len(chunks))) as pool:
             for t, s in pool.map(_scan_args, chunks):
                 total += t
                 sortable += s

@@ -85,6 +85,10 @@ def _pad_blocks(blocks: Iterable[tuple[int, int]], order: int) -> list[tuple[int
     return out
 
 
+# Writes the slots once in __init__, past the __setattr__ that forbids it.
+_set = object.__setattr__
+
+
 class PartitionDiagram:
     """An immutable partition diagram of a fixed order.
 
@@ -113,9 +117,20 @@ class PartitionDiagram:
             seen_b |= b
         if seen_t != full or seen_b != full:
             raise ValueError("blocks do not cover all 2n nodes")
-        self.order = order
-        self.blocks = tuple(blist)
-        self._hash = hash((order, self.blocks))
+        canonical = tuple(blist)
+        _set(self, "order", order)
+        _set(self, "blocks", canonical)
+        _set(self, "_hash", hash((order, canonical)))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"PartitionDiagram is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"PartitionDiagram is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):
+        # Pickle and copy rebuild through __init__, which may write the slots.
+        return PartitionDiagram, (self.order, self.blocks)
 
     def block_sets(self) -> tuple[frozenset[int], ...]:
         """Blocks as frozensets of signed nodes (+i top, -i bottom)."""

@@ -6,6 +6,10 @@ propagating block holding the largest bottom node, sorts what lies to its
 left, across it, and to its right, and reassembles the sorted factors with
 fresh consecutive top labels while every bottom label stays put.  On
 diagrams of permutations it reproduces the word map.
+
+The kernel keeps its state as lists of non-singleton (top_mask,
+bottom_mask) pairs and builds one :class:`PartitionDiagram` per sort;
+:func:`decompose`, :func:`odot_assemble` and trace events are views.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 from .core import (
     PartitionDiagram,
     _bits,
+    _block_key,
     _max_bit,
     _min_bit,
     _pad_blocks,
@@ -32,6 +37,10 @@ __all__ = [
     "sort_diagram_traced",
 ]
 
+Block = tuple[int, int]
+# (chosen, left, middle_groups, right) of one split step, as mask lists.
+Split = tuple[Block, list[Block], list[list[Block]], list[Block]]
+
 
 def sort_word(word: Sequence[int]) -> tuple[int, ...]:
     """One pass of stack-sorting on a word of distinct positive letters.
@@ -46,20 +55,13 @@ def sort_word(word: Sequence[int]) -> tuple[int, ...]:
         raise ValueError("letters must be distinct")
     if any(x < 1 for x in w):
         raise ValueError("letters must be positive")
+    stack: list[int] = []
     out: list[int] = []
-    work: list[tuple[bool, tuple[int, ...] | int]] = [(False, w)]
-    while work:
-        emit, item = work.pop()
-        if emit:
-            out.append(item)  # type: ignore[arg-type]
-            continue
-        seg: tuple[int, ...] = item  # type: ignore[assignment]
-        if not seg:
-            continue
-        i = seg.index(max(seg))
-        work.append((True, seg[i]))
-        work.append((False, seg[i + 1 :]))
-        work.append((False, seg[:i]))
+    for x in w:
+        while stack and stack[-1] < x:
+            out.append(stack.pop())
+        stack.append(x)
+    out.extend(reversed(stack))
     return tuple(out)
 
 
@@ -119,6 +121,10 @@ def _is_singleton(block: tuple[int, int]) -> bool:
     return (t | b).bit_count() == 1 and (t == 0 or b == 0)
 
 
+def _non_singletons(diagram: PartitionDiagram) -> list[Block]:
+    return [blk for blk in diagram.blocks if not _is_singleton(blk)]
+
+
 def _group_middle(blocks: list[tuple[int, int]], order: int) -> list[list[tuple[int, int]]]:
     """Group straddling blocks whose extents intersect; order groups by least node.
 
@@ -145,6 +151,87 @@ def _group_middle(blocks: list[tuple[int, int]], order: int) -> list[list[tuple[
     return groups
 
 
+def _split(blocks: list[Block], order: int) -> Split | None:
+    """:func:`decompose` on non-singleton blocks, as mask lists; None if none propagates.
+
+    Left and right keep the input's block order.
+    """
+    chosen = None
+    for blk in blocks:
+        # Bottom masks are disjoint, so the larger one holds the larger node.
+        if blk[0] and blk[1] and (chosen is None or blk[1] > chosen[1]):
+            chosen = blk
+    if chosen is None:
+        return None
+    t_first, b_first = chosen[0] & -chosen[0], chosen[1] & -chosen[1]
+    t_upto, b_upto = (1 << chosen[0].bit_length()) - 1, (1 << chosen[1].bit_length()) - 1
+    left: list[Block] = []
+    middle: list[Block] = []
+    right: list[Block] = []
+    for blk in blocks:
+        if blk is chosen:
+            continue
+        t, b = blk
+        mask, first, upto = (t, t_first, t_upto) if t else (b, b_first, b_upto)
+        if mask < first:
+            left.append(blk)
+        elif not mask & upto:
+            right.append(blk)
+        else:
+            middle.append(blk)
+    return chosen, left, _group_middle(middle, order), right
+
+
+def _expand(diagram: PartitionDiagram, steps: list[Split] | None = None) -> list[Block]:
+    """Run the split recursion depth first; return the blocks in assembly order.
+
+    Factors come out as left, middle groups, right, then the chosen block;
+    a factor without a propagating block is a leaf.  The result lists the
+    chosen blocks in factor order, then the leaves' top-only blocks (each
+    leaf's by least top node, an order every split keeps), then the
+    bottom-only blocks.  Splits are appended to ``steps`` when given.
+    """
+    props: list[Block] = []
+    tops: list[Block] = []
+    bottoms: list[Block] = []
+    order = diagram.order
+    work: list[list[Block] | Block] = [_non_singletons(diagram)]
+    while work:
+        item = work.pop()
+        if isinstance(item, tuple):  # a chosen block, never split again
+            props.append(item)
+            continue
+        split = _split(item, order)
+        if split is None:
+            for blk in item:
+                (tops if blk[0] else bottoms).append(blk)
+            continue
+        if steps is not None:
+            steps.append(split)
+        chosen, left, groups, right = split
+        work += [chosen, right, *reversed(groups), left]  # left pops first
+    return props + tops + bottoms
+
+
+def _assemble(order: int, blocks: list[Block]) -> PartitionDiagram:
+    """Fresh consecutive top labels for each block with top nodes, in list order; bottoms stay."""
+    out: list[Block] = []
+    seen_bottom = 0
+    next_top = 0  # 0-based bit position of the next fresh top label
+    for t, b in blocks:
+        if b & seen_bottom:
+            raise ValueError("bottom-label collision between factors")
+        seen_bottom |= b
+        if t:
+            width = t.bit_count()
+            if next_top + width > order:
+                raise ValueError("factors consume more top labels than the order allows")
+            t = ((1 << width) - 1) << next_top
+            next_top += width
+        out.append((t, b))
+    return PartitionDiagram(order, _pad_blocks(out, order))
+
+
 def decompose(diagram: PartitionDiagram) -> Decomposition:
     """Split a diagram around the propagating block with the largest bottom node.
 
@@ -154,85 +241,13 @@ def decompose(diagram: PartitionDiagram) -> Decomposition:
     block when it lies strictly left (right) of the chosen block's bottom
     nodes, and whatever straddles goes to the middle.
     """
-    props = [blk for blk in diagram.blocks if blk[0] and blk[1]]
-    if not props:
-        raise ValueError("diagram has no propagating block")
-    chosen = max(props, key=lambda blk: _max_bit(blk[1]))
-    top_lo, top_hi = _min_bit(chosen[0]), _max_bit(chosen[0])
-    bot_lo, bot_hi = _min_bit(chosen[1]), _max_bit(chosen[1])
-
-    left: list[tuple[int, int]] = []
-    middle: list[tuple[int, int]] = []
-    right: list[tuple[int, int]] = []
-    for blk in diagram.blocks:
-        if blk == chosen or _is_singleton(blk):
-            continue
-        t, b = blk
-        if t:
-            if _max_bit(t) < top_lo:
-                left.append(blk)
-            elif _min_bit(t) > top_hi:
-                right.append(blk)
-            else:
-                middle.append(blk)
-        else:
-            if _max_bit(b) < bot_lo:
-                left.append(blk)
-            elif _min_bit(b) > bot_hi:
-                right.append(blk)
-            else:
-                middle.append(blk)
-
     n = diagram.order
-    as_diagram = lambda blks: PartitionDiagram(n, _pad_blocks(blks, n))
-    return Decomposition(
-        block=_signed(chosen),
-        left=as_diagram(left),
-        middles=tuple(as_diagram(g) for g in _group_middle(middle, n)),
-        right=as_diagram(right),
-        padded_block=as_diagram([chosen]),
-    )
-
-
-def _event(dec: Decomposition) -> TraceEvent:
-    assignment: dict[frozenset[int], FactorTag] = {}
-    for blk in dec.left.blocks:
-        if not _is_singleton(blk):
-            assignment[_signed(blk)] = FactorTag("L")
-    for j, mid in enumerate(dec.middles, start=1):
-        for blk in mid.blocks:
-            if not _is_singleton(blk):
-                assignment[_signed(blk)] = FactorTag("M", j)
-    for blk in dec.right.blocks:
-        if not _is_singleton(blk):
-            assignment[_signed(blk)] = FactorTag("R")
-    bottom = frozenset(-x for x in dec.block if x < 0)
-    return TraceEvent(bottom=bottom, assignment=assignment)
-
-
-def _expand(diagram: PartitionDiagram, events: list[TraceEvent] | None) -> list[PartitionDiagram]:
-    """Flatten the recursion into the ordered factor list, depth first.
-
-    Factors are diagrams of the original order: either non-propagating
-    remainders, or a single already-resolved propagating block padded with
-    singletons.  Resolved factors are never split again.
-    """
-    out: list[PartitionDiagram] = []
-    work: list[tuple[bool, PartitionDiagram]] = [(False, diagram)]
-    while work:
-        resolved, cur = work.pop()
-        if resolved or cur.propagation_number() == 0:
-            out.append(cur)
-            continue
-        dec = decompose(cur)
-        if events is not None:
-            events.append(_event(dec))
-        work.append((True, dec.padded_block))
-        work.append((False, dec.right))
-        for mid in reversed(dec.middles):
-            work.append((False, mid))
-        work.append((False, dec.left))
-    return out
+    split = _split(_non_singletons(diagram), n)
+    if split is None:
+        raise ValueError("diagram has no propagating block")
+    chosen, left, groups, right = split
+    pad = lambda blks: PartitionDiagram(n, _pad_blocks(blks, n))
+    return Decomposition(_signed(chosen), pad(left), tuple(map(pad, groups)), pad(right), pad([chosen]))
 
 
 def odot_assemble(factors: Iterable[PartitionDiagram], order: int) -> PartitionDiagram:
@@ -253,43 +268,23 @@ def odot_assemble(factors: Iterable[PartitionDiagram], order: int) -> PartitionD
         p = f.propagation_number()
         if p > 1 or (p == 1 and any(not _is_singleton(b) for b in f.blocks if not (b[0] and b[1]))):
             raise ValueError("factor must be non-propagating or one propagating block plus singletons")
+    # canonical block order already lists top-row blocks by least top node
+    blocks = [blk for f in fs for blk in _non_singletons(f)]
+    props = [blk for blk in blocks if blk[0] and blk[1]]
+    tops = [blk for blk in blocks if not blk[1]]
+    bottoms = [blk for blk in blocks if not blk[0]]
+    return _assemble(order, props + tops + bottoms)
 
-    blocks: list[tuple[int, int]] = []
-    seen_bottom = 0
-    next_top = 0  # 0-based bit position of the next fresh top label
 
-    def fresh(width: int) -> int:
-        nonlocal next_top
-        if next_top + width > order:
-            raise ValueError("factors consume more top labels than the order allows")
-        mask = ((1 << width) - 1) << next_top
-        next_top += width
-        return mask
-
-    for f in fs:
-        for t, b in f.blocks:
-            if t and b:
-                if b & seen_bottom:
-                    raise ValueError("bottom-label collision between factors")
-                seen_bottom |= b
-                blocks.append((fresh(t.bit_count()), b))
-    for f in fs:
-        if f.propagation_number():
-            continue
-        # canonical block order already lists top-row blocks by least top node
-        for t, b in f.blocks:
-            if t and not b and t.bit_count() > 1:
-                blocks.append((fresh(t.bit_count()), 0))
-    for f in fs:
-        if f.propagation_number():
-            continue
-        for t, b in f.blocks:
-            if b and not t and b.bit_count() > 1:
-                if b & seen_bottom:
-                    raise ValueError("bottom-label collision between factors")
-                seen_bottom |= b
-                blocks.append((0, b))
-    return PartitionDiagram(order, _pad_blocks(blocks, order))
+def _event(split: Split) -> TraceEvent:
+    chosen, left, groups, right = split
+    tags = [FactorTag("L"), *(FactorTag("M", j) for j in range(1, len(groups) + 1)), FactorTag("R")]
+    assignment = {
+        _signed(blk): tag
+        for tag, piece in zip(tags, (left, *groups, right))
+        for blk in sorted(piece, key=_block_key)
+    }
+    return TraceEvent(bottom=frozenset(_bits(chosen[1])), assignment=assignment)
 
 
 def sort_diagram(diagram: PartitionDiagram) -> PartitionDiagram:
@@ -301,13 +296,13 @@ def sort_diagram(diagram: PartitionDiagram) -> PartitionDiagram:
     """
     if diagram.propagation_number() == 0:
         return diagram
-    return odot_assemble(_expand(diagram, None), diagram.order)
+    return _assemble(diagram.order, _expand(diagram))
 
 
 def sort_diagram_traced(diagram: PartitionDiagram) -> tuple[PartitionDiagram, tuple[TraceEvent, ...]]:
     """Like :func:`sort_diagram`, also returning one event per split step."""
     if diagram.propagation_number() == 0:
         return diagram, ()
-    events: list[TraceEvent] = []
-    result = odot_assemble(_expand(diagram, events), diagram.order)
-    return result, tuple(events)
+    steps: list[Split] = []
+    result = _assemble(diagram.order, _expand(diagram, steps))
+    return result, tuple(_event(step) for step in steps)

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import random
 from itertools import combinations, permutations
 from math import comb, factorial
 
 import pytest
 
+import diagramsort.analysis as analysis_module
 from diagramsort.analysis import (
     CensusRow,
     census_stretch_sortable,
@@ -23,6 +25,7 @@ from diagramsort.core import (
     enumerate_diagrams,
     parse_diagram,
 )
+from reference import structural_candidate
 
 # Stretch-stack-sortable counts per order 0..4.
 # Regression constants: computed, not from paper.
@@ -142,6 +145,20 @@ def test_predicates_agree_exhaustively():
             assert is_sss_direct(d) == is_sss_theorem(d)
 
 
+def test_predicates_agree_on_structural_candidates():
+    rng = random.Random(64)
+    verdicts = {"scatter": set(), "avoid": set(), "swap": set()}
+    for n in range(4, 65, 4):
+        for mode, seen in verdicts.items():
+            for _ in range(3):
+                d = structural_candidate(rng, n, mode)
+                direct = is_sss_direct(d)
+                assert is_sss_theorem(d) == direct
+                seen.add(direct)
+    assert verdicts["avoid"] == {True}
+    assert verdicts["scatter"] == verdicts["swap"] == {True, False}
+
+
 def test_restriction_to_permutations():
     for n in range(1, 6):
         for p in permutations(range(1, n + 1)):
@@ -170,6 +187,16 @@ def test_census_parallel_matches_serial():
     serial = census_stretch_sortable(3)
     parallel = census_stretch_sortable(3, jobs=2)
     assert (serial.total, serial.sortable) == (parallel.total, parallel.sortable)
+
+
+def test_worker_count_is_clamped(monkeypatch):
+    monkeypatch.setattr(analysis_module.os, "cpu_count", lambda: 4)
+    assert analysis_module._worker_count(10**9, 15) == 4
+    assert analysis_module._worker_count(3, 15) == 3
+    assert analysis_module._worker_count(8, 2) == 2
+    assert analysis_module._worker_count(0, 15) == 1
+    monkeypatch.setattr(analysis_module.os, "cpu_count", lambda: None)
+    assert analysis_module._worker_count(8, 15) == 1
 
 
 def test_census_rejects_negative_order():

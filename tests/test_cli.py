@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import diagramsort
 from diagramsort.cli import run
 
 EX_LEFT = "{1,4|2,3,4',5'|5|1',3'|2'}"
@@ -139,3 +143,19 @@ def test_console_script_installed():
     )
     assert proc.returncode == 0
     assert proc.stdout == "{1,1'}\n"
+
+
+@pytest.mark.parametrize("module", ["diagramsort", "diagramsort.cli"])
+def test_python_dash_m_entry_points(module):
+    env = {**os.environ, "PYTHONPATH": str(Path(diagramsort.__file__).resolve().parents[1])}
+
+    def call(*args):
+        return subprocess.run(
+            [sys.executable, "-m", module, *args], capture_output=True, text=True, env=env, timeout=60
+        )
+
+    ok = call("parse", "--order", "1", "{1,1'}")
+    assert (ok.returncode, ok.stdout) == (0, "{1,1'}\n")
+    bad = call("parse", "--order", "1", "{1,5}")
+    assert bad.returncode == 1
+    assert bad.stderr.startswith("error:")

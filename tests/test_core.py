@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 from itertools import permutations
 
@@ -94,6 +96,20 @@ def test_canonicalize_example_blocks():
 def test_canonicalize_empty_order_zero():
     d = canonicalize([], 0)
     assert d.order == 0 and d.blocks == ()
+
+
+def test_diagram_is_immutable():
+    d = parse_diagram(EX1_TEXT, 5)
+    before = (d.order, d.blocks, hash(d))
+    for name, value in [("blocks", ()), ("order", 3), ("_hash", 0), ("extra", 1)]:
+        with pytest.raises(AttributeError):
+            setattr(d, name, value)
+    for name in ("blocks", "order", "_hash"):
+        with pytest.raises(AttributeError):
+            delattr(d, name)
+    assert (d.order, d.blocks, hash(d)) == before
+    for clone in (pickle.loads(pickle.dumps(d)), copy.copy(d), copy.deepcopy(d)):
+        assert clone == d and hash(clone) == hash(d)
 
 
 def test_canonicalize_rejects_overlap():

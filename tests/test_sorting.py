@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import random
 from collections import Counter
 from itertools import permutations
@@ -9,8 +10,11 @@ from itertools import permutations
 import pytest
 from hypothesis import given
 
+import diagramsort.sorting as sorting_module
 from conftest import diagrams, random_diagram
+from reference import sort_diagram_by_definition, sort_word_by_definition, structural_candidate
 from diagramsort.core import (
+    PartitionDiagram,
     canonicalize,
     embed_permutation,
     enumerate_diagrams,
@@ -31,18 +35,6 @@ EX5_IN = "{1,2|3,5,7,2',4',6'|4,3'|6,7'|8|1'|5',8'}"
 EX5_OUT = "{1,3'|2,3,4,2',4',6'|5,7'|6,7|8|1'|5',8'}"
 EX18_IN = "{1,2,3,4',5',6'|4,6,7,1',2',3'|5,8,9,7',8',9'}"
 EX18_OUT = "{1,2,3,4',5',6'|4,5,6,1',2',3'|7,8,9,7',8',9'}"
-
-
-def _stack_pass(word):
-    # Independent oracle: simulate the single pass through a stack.
-    stack, out = [], []
-    for x in word:
-        while stack and stack[-1] < x:
-            out.append(stack.pop())
-        stack.append(x)
-    while stack:
-        out.append(stack.pop())
-    return tuple(out)
 
 
 def _non_singleton_sets(d):
@@ -67,10 +59,10 @@ def test_sort_word_keeps_letter_set():
     assert sort_word((9, 2, 7)) == (2, 7, 9)
 
 
-def test_sort_word_matches_stack_oracle():
+def test_sort_word_matches_recursive_definition():
     for n in range(8):
         for p in permutations(range(1, n + 1)):
-            assert sort_word(p) == _stack_pass(p)
+            assert sort_word(p) == sort_word_by_definition(p)
 
 
 # --- decompose -------------------------------------------------------------
@@ -199,6 +191,13 @@ def test_sort_nine_node_example():
     assert format_diagram(sort_diagram(parse_diagram(EX18_IN, 9))) == EX18_OUT
 
 
+def test_sort_keeps_middle_groups_in_order():
+    # Two top-only middle groups of different sizes: the left one is relabeled first.
+    d = parse_diagram("{1,8,8'|2,3|4,5,6}", 8)
+    assert format_diagram(sort_diagram(d)) == "{1,2,8'|3,4|5,6,7|8|1'|2'|3'|4'|5'|6'|7'}"
+    assert sort_diagram(d) == sort_diagram_by_definition(d)
+
+
 def test_sort_fixes_identity():
     for n in range(6):
         assert sort_diagram(identity_diagram(n)) == identity_diagram(n)
@@ -228,6 +227,47 @@ def test_sort_structure_exhaustive_small():
             for t, b in s.blocks:
                 if (t | b).bit_count() > 1 and b:
                     assert b in bottoms
+
+
+def test_sort_matches_reference_exhaustive():
+    for n in range(5):
+        for d in enumerate_diagrams(n):
+            assert sort_diagram(d) == sort_diagram_by_definition(d), format_diagram(d)
+
+
+@pytest.mark.skipif(
+    os.environ.get("DIAGRAMSORT_DEEP") != "1",
+    reason="set DIAGRAMSORT_DEEP=1 for the order-5 sweep",
+)
+def test_sort_matches_reference_order_5():
+    for d in enumerate_diagrams(5):
+        assert sort_diagram(d) == sort_diagram_by_definition(d), format_diagram(d)
+
+
+def test_sort_matches_reference_seeded_larger_orders():
+    rng = random.Random(11)
+    for _ in range(150):
+        d = random_diagram(rng, rng.randint(5, 24))
+        assert sort_diagram(d) == sort_diagram_by_definition(d), format_diagram(d)
+    for mode in ("scatter", "avoid", "swap"):
+        for n in range(5, 41, 5):
+            d = structural_candidate(rng, n, mode)
+            assert sort_diagram(d) == sort_diagram_by_definition(d), format_diagram(d)
+
+
+def test_sort_builds_only_the_result_diagram(monkeypatch):
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return PartitionDiagram(*args)
+
+    monkeypatch.setattr(sorting_module, "PartitionDiagram", counting)
+    rng = random.Random(5)
+    for d in [parse_diagram(EX5_IN, 8), embed_permutation(range(40, 0, -1)), random_diagram(rng, 32)]:
+        built.clear()
+        sort_diagram(d)
+        assert len(built) == 1
 
 
 @given(diagrams(max_order=4))
