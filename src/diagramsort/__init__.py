@@ -4,7 +4,7 @@ The package covers four layers: the diagrams themselves with their monoid
 and algebra products (``core``), the classical stack-sorting map on words
 and its extension to whole diagrams (``sorting``), stretch morphisms that
 inflate diagram nodes into blocks (``stretch``), and sortability predicates
-with exhaustive censuses (``analysis``).  ``diagramsort.cli`` exposes the
+with the sortability census (``analysis``).  ``diagramsort.cli`` exposes the
 same operations as a command-line tool.
 """
 

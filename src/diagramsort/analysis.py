@@ -1,4 +1,4 @@
-"""Sortability predicates, pattern counts, and the exhaustive census.
+"""Sortability predicates, pattern counts, and the sortability census.
 
 A diagram is stretch-stack-sortable when its stack-sorting image is a
 stretch of an identity diagram.  Besides the direct test, there is an
@@ -7,9 +7,13 @@ top and bottom nodes, each block's bottom indices must be consecutive,
 and no split step may assign a block with larger bottom labels to an
 earlier factor than a block with smaller ones.
 
-The census counts sortable diagrams of one order by scanning all
-Bell(2n) diagrams.  Those counts are computed here, not quoted from any
-published table.
+A stretched identity has equal top and bottom sets in every block, and
+the sort keeps each block's sizes, never moves a bottom label and gives
+each propagating block consecutive top labels, so only diagrams meeting
+the first three conditions can be sortable.  The census
+sorts just these structural candidates, Fubini(n) of the Bell(2n)
+diagrams; its ``check`` mode sorts all Bell(2n) as the oracle.  The counts
+are computed here, not quoted from any published table.
 """
 
 from __future__ import annotations
@@ -18,8 +22,8 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import permutations
-from typing import Sequence
+from itertools import combinations, permutations
+from typing import Callable, Iterator, Sequence
 
 from .core import PartitionDiagram, _min_bit, _rgs_strings, enumerate_diagrams, format_diagram
 from .sorting import Split, _expand, sort_diagram, sort_word
@@ -125,31 +129,89 @@ def is_sss_theorem(diagram: PartitionDiagram) -> bool:
 
 @dataclass(frozen=True)
 class CensusRow:
-    """One census result: all diagrams of the order versus sortable ones."""
+    """One census result: all diagrams of the order versus sortable ones.
+
+    ``candidates`` counts the diagrams sorted: all ``total`` under ``check``.
+    """
 
     n: int
     total: int
     sortable: int
     elapsed: float
+    candidates: int = 0
 
 
-def _scan(order: int, prefix: tuple[int, ...], check: bool) -> tuple[int, int]:
+def _bell(m: int) -> int:
+    """Bell number B(m), the number of set partitions of m points."""
+    # Bell triangle: next row starts with the previous row's last entry.
+    row = [1]
+    for _ in range(m):
+        nxt = [row[-1]]
+        for x in row:
+            nxt.append(nxt[-1] + x)
+        row = nxt
+    return row[0]
+
+
+def _compositions(n: int) -> Iterator[tuple[int, ...]]:
+    """Every sequence of positive parts summing to n; 2^(n-1) of them for n >= 1."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(1, n + 1):
+        for rest in _compositions(n - first):
+            yield (first, *rest)
+
+
+def _candidates(order: int, sizes: tuple[int, ...]) -> Iterator[list[tuple[int, int]]]:
+    """Every structural candidate with bottom intervals of these sizes, left to right.
+
+    Each block takes a top set of its bottom's size from the nodes left free.
+    """
+    bottoms = []
+    lo = 0
+    for size in sizes:
+        bottoms.append(((1 << size) - 1) << lo)
+        lo += size
+
+    def assign(j: int, free: tuple[int, ...]) -> Iterator[list[tuple[int, int]]]:
+        if j == len(sizes):
+            yield []
+            return
+        for chosen in combinations(free, sizes[j]):
+            top = sum(1 << i for i in chosen)
+            rest = tuple(i for i in free if not top >> i & 1)
+            for tail in assign(j + 1, rest):
+                yield [(top, bottoms[j]), *tail]
+
+    return assign(0, tuple(range(order)))
+
+
+def _count_sortable(args: tuple[int, tuple[int, ...]]) -> tuple[int, int]:
+    """(candidates, sortable) for one bottom composition."""
+    order, sizes = args
+    candidates = sortable = 0
+    for blocks in _candidates(order, sizes):
+        candidates += 1
+        sortable += is_sss_direct(PartitionDiagram(order, blocks))
+    return candidates, sortable
+
+
+def _scan(args: tuple[int, tuple[int, ...]]) -> tuple[int, list[PartitionDiagram]]:
+    """Every diagram extending an RGS prefix: (count, sortable ones); both predicates must agree."""
+    order, prefix = args
     total = 0
-    sortable = 0
+    sortable = []
     for d in enumerate_diagrams(order, prefix):
         total += 1
         ok = is_sss_direct(d)
-        if check and ok != is_sss_theorem(d):
+        if ok != is_sss_theorem(d):
             raise VerificationError(
                 f"sortability predicates disagree on {format_diagram(d)} at order {order}"
             )
         if ok:
-            sortable += 1
+            sortable.append(d)
     return total, sortable
-
-
-def _scan_args(args: tuple[int, tuple[int, ...], bool]) -> tuple[int, int]:
-    return _scan(*args)
 
 
 def _worker_count(jobs: int, chunks: int) -> int:
@@ -157,28 +219,52 @@ def _worker_count(jobs: int, chunks: int) -> int:
     return max(1, min(jobs, chunks, os.cpu_count() or 1))
 
 
+def _map_chunks(fn: Callable, chunks: list, jobs: int) -> list:
+    """``fn`` over the chunks, in order, in up to ``jobs`` worker processes."""
+    workers = _worker_count(jobs, len(chunks))
+    if workers == 1:
+        return [fn(chunk) for chunk in chunks]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, chunks))
+
+
 def census_stretch_sortable(n: int, *, check: bool = False, jobs: int = 1) -> CensusRow:
     """Count stretch-stack-sortable diagrams among all diagrams of order n.
 
-    With ``check`` set, the direct and structural predicates are compared
-    on every diagram.  ``jobs`` > 1 splits the enumeration by restricted
-    growth prefix across processes; the counts are identical regardless of
-    worker count.
+    Only the structural candidates are sorted.  With ``check`` set, every
+    diagram is also sorted and both predicates compared on it;
+    :class:`VerificationError` is raised if they disagree, if the diagrams
+    enumerated are not Bell(2n), if a sortable diagram is not a candidate,
+    or if the counts differ.  ``jobs`` > 1 splits the work by bottom
+    composition (``check``: by restricted growth prefix) across processes;
+    the counts are identical regardless of worker count.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     start = time.perf_counter()
-    if jobs <= 1 or 2 * n < 2:
-        total, sortable = _scan(n, (), check)
-    else:
-        depth = min(2 * n, 4)
-        chunks = [(n, p, check) for p in _rgs_strings(depth)]
-        total = sortable = 0
-        with ProcessPoolExecutor(max_workers=_worker_count(jobs, len(chunks))) as pool:
-            for t, s in pool.map(_scan_args, chunks):
-                total += t
-                sortable += s
-    return CensusRow(n=n, total=total, sortable=sortable, elapsed=time.perf_counter() - start)
+    total = _bell(2 * n)
+    counts = _map_chunks(_count_sortable, [(n, sizes) for sizes in _compositions(n)], jobs)
+    candidates = sum(c for c, _ in counts)
+    sortable = sum(s for _, s in counts)
+    if check:
+        prefixes = _rgs_strings(min(2 * n, 4))
+        scans = _map_chunks(_scan, [(n, p) for p in prefixes], jobs)
+        candidates = sum(t for t, _ in scans)  # the oracle sorts every diagram
+        if candidates != total:
+            raise VerificationError(f"enumerated {candidates} diagrams of order {n}, not Bell(2n) = {total}")
+        structural = {
+            PartitionDiagram(n, blocks) for sizes in _compositions(n) for blocks in _candidates(n, sizes)
+        }
+        found = [d for _, ds in scans for d in ds]
+        for d in found:
+            if d not in structural:
+                raise VerificationError(f"sortable diagram {format_diagram(d)} is not a structural candidate")
+        if len(found) != sortable:
+            raise VerificationError(
+                f"exhaustive scan finds {len(found)} sortable diagrams of order {n}, the candidates {sortable}"
+            )
+    elapsed = time.perf_counter() - start
+    return CensusRow(n=n, total=total, sortable=sortable, elapsed=elapsed, candidates=candidates)
 
 
 def count_t_stack_sortable(n: int, t: int) -> int:

@@ -126,7 +126,13 @@ def _cmd_census(args: argparse.Namespace) -> int:
         row = census_stretch_sortable(n, check=args.check, jobs=args.jobs)
         millis = round(row.elapsed * 1000)
         if args.json:
-            print(json.dumps({"n": row.n, "total": row.total, "sortable": row.sortable, "millis": millis}))
+            print(json.dumps({
+                "n": row.n,
+                "total": row.total,
+                "sortable": row.sortable,
+                "candidates": row.candidates,
+                "millis": millis,
+            }))
         else:
             print(f"{row.n}\t{row.total}\t{row.sortable}\t{millis}")
     return 0
@@ -193,7 +199,12 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("census", help="count stretch-stack-sortable diagrams per order")
     p.add_argument("--n", default="1..4", help="order or range, e.g. 4 or 1..4")
-    p.add_argument("--check", action="store_true", help="compare both predicates on every diagram")
+    p.add_argument(
+        "--check",
+        action="store_true",
+        help="the census sorts only the structural candidates; also run the Bell(2n) brute-force "
+        "oracle, comparing both predicates on every diagram and its count with the census",
+    )
     p.add_argument("--deep", action="store_true", help="extend the range through order 5")
     p.add_argument("--jobs", type=int, default=1, help="worker processes")
     p.add_argument("--json", action="store_true", help="one JSON object per row instead of TSV")
@@ -205,7 +216,9 @@ def _build_parser() -> _Parser:
     p.set_defaults(handler=_cmd_count_sortable)
 
     p = sub.add_parser("verify", help="run the whole invariant suite")
-    p.add_argument("--deep", action="store_true", help="extend exhaustive scans through order 5")
+    p.add_argument(
+        "--deep", action="store_true", help="extend exhaustive scans through order 5, the census through 6"
+    )
     p.add_argument("--seed", type=int, default=2024, help="seed for the sampled properties")
     p.set_defaults(handler=_cmd_verify)
 

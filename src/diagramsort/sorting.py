@@ -75,9 +75,6 @@ class FactorTag(NamedTuple):
     kind: str
     group: int = 0
 
-    def rank(self) -> tuple[int, int]:
-        return {"L": 0, "M": 1, "R": 2}[self.kind], self.group
-
 
 @dataclass(frozen=True)
 class Decomposition:

@@ -11,6 +11,7 @@ import pytest
 import diagramsort.analysis as analysis_module
 from diagramsort.analysis import (
     CensusRow,
+    VerificationError,
     census_stretch_sortable,
     contains_231,
     count_1_stack_sortable,
@@ -20,9 +21,11 @@ from diagramsort.analysis import (
     is_t_stack_sortable,
 )
 from diagramsort.core import (
+    PartitionDiagram,
     canonicalize,
     embed_permutation,
     enumerate_diagrams,
+    identity_diagram,
     parse_diagram,
 )
 from reference import structural_candidate
@@ -30,6 +33,8 @@ from reference import structural_candidate
 # Stretch-stack-sortable counts per order 0..4.
 # Regression constants: computed, not from paper.
 PINNED_SORTABLE = [1, 1, 3, 12, 56]
+# Ordered Bell (Fubini) numbers, OEIS A000670: structural candidates per order 0..6.
+FUBINI = [1, 1, 3, 13, 75, 541, 4683]
 
 
 def _contains_231_brute(p):
@@ -180,13 +185,84 @@ def test_census_pinned_counts():
         row = census_stretch_sortable(n, check=True)
         assert isinstance(row, CensusRow)
         assert row.sortable == want
+        assert row.candidates == row.total
         assert 0 <= row.sortable <= row.total
+        pruned = census_stretch_sortable(n)
+        assert (pruned.total, pruned.sortable) == (row.total, row.sortable)
+        assert pruned.candidates == FUBINI[n]
 
 
 def test_census_parallel_matches_serial():
-    serial = census_stretch_sortable(3)
-    parallel = census_stretch_sortable(3, jobs=2)
-    assert (serial.total, serial.sortable) == (parallel.total, parallel.sortable)
+    for n, check in ((3, False), (3, True), (5, False)):
+        serial = census_stretch_sortable(n, check=check)
+        parallel = census_stretch_sortable(n, check=check, jobs=2)
+        assert (serial.total, serial.sortable, serial.candidates) == (
+            parallel.total,
+            parallel.sortable,
+            parallel.candidates,
+        )
+
+
+def _structural(blocks):
+    """The first three structural conditions: propagating, equal sides, interval bottom."""
+    for t, b in blocks:
+        if not (t and b) or t.bit_count() != b.bit_count():
+            return False
+        low = b & -b
+        if (b + low) & b:
+            return False
+    return True
+
+
+def _candidate_diagrams(n):
+    return [
+        PartitionDiagram(n, blocks)
+        for sizes in analysis_module._compositions(n)
+        for blocks in analysis_module._candidates(n, sizes)
+    ]
+
+
+def test_candidates_are_fubini_many_and_structural():
+    for n, want in enumerate(FUBINI):
+        found = _candidate_diagrams(n)
+        assert len(found) == len(set(found)) == want
+        assert all(_structural(d.blocks) for d in found)
+
+
+def test_candidates_equal_filtered_enumeration():
+    for n in range(5):
+        filtered = {d for d in enumerate_diagrams(n) if _structural(d.blocks)}
+        assert set(_candidate_diagrams(n)) == filtered
+
+
+def _drop_identity(real):
+    def candidates(order, sizes):
+        for blocks in real(order, sizes):
+            if PartitionDiagram(order, blocks) != identity_diagram(order):
+                yield blocks
+
+    return candidates
+
+
+def _drop_first_diagram(real):
+    def enumerate_diagrams(order, prefix=()):
+        it = real(order, prefix)
+        if prefix == (0, 0, 0, 0):
+            next(it)
+        return it
+
+    return enumerate_diagrams
+
+
+@pytest.mark.parametrize(
+    "name, patch",
+    [("_candidates", _drop_identity), ("enumerate_diagrams", _drop_first_diagram)],
+)
+def test_census_check_catches_a_missing_diagram(monkeypatch, name, patch):
+    monkeypatch.setattr(analysis_module, name, patch(getattr(analysis_module, name)))
+    census_stretch_sortable(3)  # the census alone does not notice
+    with pytest.raises(VerificationError):
+        census_stretch_sortable(3, check=True)
 
 
 def test_worker_count_is_clamped(monkeypatch):

@@ -85,11 +85,14 @@ def test_census_single_order(capsys):
 def test_census_json_rows(capsys):
     assert run(["census", "--n", "1..3", "--json", "--check"]) == 0
     rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
-    assert [(r["n"], r["total"], r["sortable"]) for r in rows] == [
-        (1, 2, 1),
-        (2, 15, 3),
-        (3, 203, 12),
+    assert [(r["n"], r["total"], r["sortable"], r["candidates"]) for r in rows] == [
+        (1, 2, 1, 2),
+        (2, 15, 3, 15),
+        (3, 203, 12, 203),
     ]
+    assert run(["census", "--n", "3", "--json"]) == 0
+    row = json.loads(capsys.readouterr().out)
+    assert (row["total"], row["sortable"], row["candidates"]) == (203, 12, 13)
 
 
 def test_census_order_zero(capsys):
