@@ -20,7 +20,6 @@ from .core import (
     format_diagram,
     identity_diagram,
     parse_diagram,
-    propagation_number,
     to_dot,
 )
 from .sorting import (
@@ -39,7 +38,6 @@ from .analysis import (
     VerificationError,
     census_stretch_sortable,
     contains_231,
-    count_1_stack_sortable,
     count_t_stack_sortable,
     is_sss_direct,
     is_sss_theorem,
@@ -63,7 +61,6 @@ __all__ = [
     "census_stretch_sortable",
     "compose",
     "contains_231",
-    "count_1_stack_sortable",
     "count_t_stack_sortable",
     "decompose",
     "delta_k",
@@ -77,7 +74,6 @@ __all__ = [
     "is_t_stack_sortable",
     "odot_assemble",
     "parse_diagram",
-    "propagation_number",
     "sort_diagram",
     "sort_diagram_traced",
     "sort_word",

@@ -224,7 +224,6 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("render", help="emit Graphviz DOT for a diagram")
     with_diagram(p)
-    p.add_argument("--dot", action="store_true", help="DOT output (the only format)")
     p.set_defaults(handler=_cmd_render)
 
     return parser

@@ -13,11 +13,10 @@ writes bottom nodes with a trailing apostrophe, e.g. "{1,4|2,3,4',5'}",
 and the parser accepts "-4" as a synonym for "4'".
 
 Internally a block is a pair of bit masks (top_mask, bottom_mask), bit i-1
-set when index i belongs to the block.  This caps the order at 64 in
-spirit, though Python integers do not actually enforce it; the point is
-that composition and exhaustive enumeration stay cheap.  Blocks are kept
-in a canonical order (sorted by least node, all top nodes before all
-bottom nodes), so equal diagrams compare and hash equal.
+set when index i belongs to the block.  Python integers put no cap on the
+order, and the kernels work on masks rather than node lists.
+Blocks are kept in a canonical order (sorted by least node, all top nodes
+before all bottom nodes), so equal diagrams compare and hash equal.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ __all__ = [
     "compose",
     "identity_diagram",
     "embed_permutation",
-    "propagation_number",
     "enumerate_diagrams",
     "parse_diagram",
     "format_diagram",
@@ -210,10 +208,6 @@ def embed_permutation(word: Iterable[int]) -> PartitionDiagram:
     return PartitionDiagram(n, [(1 << i, 1 << (w[i] - 1)) for i in range(n)])
 
 
-def propagation_number(diagram: PartitionDiagram) -> int:
-    return diagram.propagation_number()
-
-
 def compose(d1: PartitionDiagram, d2: PartitionDiagram) -> tuple[PartitionDiagram, int]:
     """Monoid product d1 after stacking on top of d2.
 
@@ -224,45 +218,37 @@ def compose(d1: PartitionDiagram, d2: PartitionDiagram) -> tuple[PartitionDiagra
     """
     if d1.order != d2.order:
         raise ValueError("diagrams must have the same order")
-    n = d1.order
-    # Union-find over 3n nodes: 0..n-1 top of d1, n..2n-1 middle, 2n..3n-1 bottom of d2.
-    parent = list(range(3 * n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union_block(nodes: list[int]) -> None:
-        first = find(nodes[0])
-        for x in nodes[1:]:
-            r = find(x)
-            if r != first:
-                parent[r] = first
-
-    for t, b in d1.blocks:
-        union_block([i - 1 for i in _bits(t)] + [n + i - 1 for i in _bits(b)])
-    for t, b in d2.blocks:
-        union_block([n + i - 1 for i in _bits(t)] + [2 * n + i - 1 for i in _bits(b)])
-
-    tops: dict[int, int] = {}
-    bottoms: dict[int, int] = {}
-    middle_roots: set[int] = set()
-    for x in range(n):
-        tops.setdefault(find(x), 0)
-        tops[find(x)] |= 1 << x
-    for x in range(2 * n, 3 * n):
-        bottoms.setdefault(find(x), 0)
-        bottoms[find(x)] |= 1 << (x - 2 * n)
-    for x in range(n, 2 * n):
-        middle_roots.add(find(x))
-
+    # Union-find over d2's blocks, each root holding its component's outer masks;
+    # a d1 block joins the d2 blocks its bottom meets, one step per block met.
+    tops = [t for t, _ in d2.blocks]
+    up = [0] * len(tops)
+    down = [b for _, b in d2.blocks]
+    parent = list(range(len(tops)))
+    owner = [0] * d1.order  # middle position -> the d2 block holding it
+    for j, t in enumerate(tops):
+        for i in _bits(t):
+            owner[i - 1] = j
     blocks = []
-    for root in tops.keys() | bottoms.keys():
-        blocks.append((tops.get(root, 0), bottoms.get(root, 0)))
-        middle_roots.discard(root)
-    return PartitionDiagram(n, blocks), len(middle_roots)
+    for t, b in d1.blocks:
+        if not b:
+            blocks.append((t, 0))
+            continue
+        root = -1
+        while b:
+            j = owner[_min_bit(b) - 1]
+            b &= ~tops[j]
+            while parent[j] != j:
+                parent[j] = j = parent[parent[j]]  # path halving
+            if root < 0:
+                root = j
+                up[root] |= t
+            elif j != root:
+                parent[j] = root
+                up[root] |= up[j]
+                down[root] |= down[j]
+    roots = [(up[j], down[j]) for j, r in enumerate(parent) if r == j]
+    blocks += [blk for blk in roots if blk != (0, 0)]
+    return PartitionDiagram(d1.order, blocks), roots.count((0, 0))
 
 
 def _rgs_strings(length: int, prefix: tuple[int, ...] = ()) -> Iterator[tuple[int, ...]]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .core import PartitionDiagram, _bits, canonicalize
+from .core import PartitionDiagram, _bits, _mask, canonicalize
 
 __all__ = [
     "SetComposition",
@@ -115,15 +115,22 @@ def stretch_map(alpha: "SetComposition | Iterable[Iterable[int]]", k: int, diagr
     comp = alpha if isinstance(alpha, SetComposition) else SetComposition(alpha)
     if len(comp) != diagram.order:
         raise ValueError("set composition length must equal the diagram order")
-    inflated = []
+    masks = [_mask(part) for part in comp]
+    blocks = []
+    support = 0
     for t, b in diagram.blocks:
-        nodes: set[int] = set()
+        top = bottom = 0
         for i in _bits(t):
-            nodes |= comp[i - 1]
+            top |= masks[i - 1]
         for i in _bits(b):
-            nodes |= {-x for x in comp[i - 1]}
-        inflated.append(nodes)
-    return delta_k(inflated, k)
+            bottom |= masks[i - 1]
+        blocks.append((top, bottom))
+        support |= top
+    if support.bit_length() > k:
+        raise ValueError("k must be at least the largest index used")
+    for i in _bits(((1 << k) - 1) & ~support):
+        blocks.append((1 << (i - 1), 1 << (i - 1)))
+    return PartitionDiagram(k, blocks)
 
 
 def is_stretch_of_identity(diagram: PartitionDiagram) -> bool:

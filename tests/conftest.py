@@ -2,25 +2,10 @@
 
 from __future__ import annotations
 
-import random
-
 from hypothesis import strategies as st
 
 from diagramsort.core import PartitionDiagram, _diagram_from_rgs
-
-
-def random_rgs(rng: random.Random, length: int) -> tuple[int, ...]:
-    out = []
-    high = 0
-    for _ in range(length):
-        v = rng.randint(0, high)
-        out.append(v)
-        high = max(high, v + 1)
-    return tuple(out)
-
-
-def random_diagram(rng: random.Random, order: int) -> PartitionDiagram:
-    return _diagram_from_rgs(order, random_rgs(rng, 2 * order))
+from diagramsort.verification import _random_diagram as random_diagram  # noqa: F401
 
 
 @st.composite

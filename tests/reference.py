@@ -1,8 +1,10 @@
 """Slow oracles written from the definitions, plus input generators.
 
 Nothing here reuses the library's kernels: the word sort is the
-recursive L n R definition, and the diagram sort recurses on blocks held
-as frozensets of signed nodes (+i top, -i bottom).
+recursive L n R definition, the diagram sort recurses on blocks held
+as frozensets of signed nodes (+i top, -i bottom), composition walks the
+stacked 3n-node graph, and the stretch inflates signed-node sets and pads
+them with ``delta_k``.
 """
 
 from __future__ import annotations
@@ -10,7 +12,8 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
-from diagramsort.core import PartitionDiagram, canonicalize
+from diagramsort.core import PartitionDiagram, canonicalize, identity_diagram
+from diagramsort.stretch import delta_k
 
 
 def sort_word_by_definition(word):
@@ -101,6 +104,94 @@ def sort_diagram_by_definition(diagram: PartitionDiagram) -> PartitionDiagram:
         next_top += width
     out += [blk for blk in leaves if not _tops(blk)]
     return canonicalize(out, n)
+
+
+def compose_by_graph_walk(d1: PartitionDiagram, d2: PartitionDiagram) -> tuple[PartitionDiagram, int]:
+    """The monoid product and its middle-only component count, node by node.
+
+    Builds the stacked graph explicitly: nodes 0..n-1 are d1's top row,
+    n..2n-1 the shared middle row and 2n..3n-1 d2's bottom row.  Each
+    component is walked from a start node; its outer nodes form a block of
+    the product, and a component with none counts as middle-only.
+    """
+    n = d1.order
+    adj: dict[int, set[int]] = {x: set() for x in range(3 * n)}
+
+    def link(nodes):
+        for a in nodes:
+            for b in nodes:
+                if a != b:
+                    adj[a].add(b)
+
+    for block in d1.block_sets():
+        link([x - 1 if x > 0 else n - x - 1 for x in block])
+    for block in d2.block_sets():
+        link([n + x - 1 if x > 0 else 2 * n - x - 1 for x in block])
+
+    seen: set[int] = set()
+    blocks = []
+    middle_only = 0
+    for start in range(3 * n):
+        if start in seen:
+            continue
+        queue, comp = [start], {start}
+        while queue:
+            cur = queue.pop()
+            for nxt in adj[cur]:
+                if nxt not in comp:
+                    comp.add(nxt)
+                    queue.append(nxt)
+        seen |= comp
+        outer = [x + 1 for x in comp if x < n] + [2 * n - x - 1 for x in comp if x >= 2 * n]
+        if outer:
+            blocks.append(outer)
+        else:
+            middle_only += 1
+    return canonicalize(blocks, n), middle_only
+
+
+def stretch_by_nodes(alpha, k: int, diagram: PartitionDiagram) -> PartitionDiagram:
+    """The stretch image from signed-node sets: node +-i becomes +-x for each x in alpha[i-1]."""
+    parts = [set(part) for part in alpha]
+    if len(parts) != diagram.order:
+        raise ValueError("set composition length must equal the diagram order")
+    inflated = [
+        {x for i in block if i > 0 for x in parts[i - 1]} | {-x for i in block if i < 0 for x in parts[-i - 1]}
+        for block in diagram.block_sets()
+    ]
+    return delta_k(inflated, k)
+
+
+def random_composition(rng: random.Random, k: int, parts: int) -> list[list[int]]:
+    """``parts`` disjoint nonempty subsets of 1..k in random order, leaving gaps.
+
+    The support leaves out about a third of 1..k, at random places;
+    requires ``parts`` <= k.
+    """
+    pool = list(range(1, k + 1))
+    rng.shuffle(pool)
+    size = max(parts, 2 * k // 3)
+    cuts = sorted(rng.sample(range(1, size), parts - 1)) if parts > 1 else []
+    return [pool[i:j] for i, j in zip([0, *cuts], [*cuts, size])] if parts else []
+
+
+def sparse_diagram(rng: random.Random, n: int, classes: int) -> PartitionDiagram:
+    """Each of the 2n nodes joins one of ``classes`` labels at random.
+
+    With ``classes`` near n, many blocks lie in one row, so products of
+    such diagrams lose components in the middle row.
+    """
+    tops, bottoms = [0] * classes, [0] * classes
+    for i in range(n):
+        tops[rng.randrange(classes)] |= 1 << i
+        bottoms[rng.randrange(classes)] |= 1 << i
+    return PartitionDiagram(n, [blk for blk in zip(tops, bottoms) if blk != (0, 0)])
+
+
+def stretched_identity(rng: random.Random, n: int) -> PartitionDiagram:
+    """A random stretch of an identity diagram to order n, built by the node oracle."""
+    m = rng.randint(1, max(1, n // 4))
+    return stretch_by_nodes(random_composition(rng, n, m), n, identity_diagram(m))
 
 
 def _avoiding_231(rng: random.Random, k: int) -> list[int]:

@@ -14,7 +14,6 @@ from diagramsort.analysis import (
     VerificationError,
     census_stretch_sortable,
     contains_231,
-    count_1_stack_sortable,
     count_t_stack_sortable,
     is_sss_direct,
     is_sss_theorem,
@@ -100,7 +99,7 @@ def test_monotone_in_t():
 
 
 def test_catalan_counts():
-    got = [count_1_stack_sortable(n) for n in range(1, 8)]
+    got = [count_t_stack_sortable(n, 1) for n in range(1, 8)]
     assert got == [1, 2, 5, 14, 42, 132, 429]
     assert got == [comb(2 * n, n) // (n + 1) for n in range(1, 8)]
 
@@ -115,9 +114,9 @@ def test_two_pass_counts():
 
 
 def test_spot_counts():
-    assert count_1_stack_sortable(4) == 14
+    assert count_t_stack_sortable(4, 1) == 14
     assert count_t_stack_sortable(4, 2) == 22
-    assert count_1_stack_sortable(1) == 1
+    assert count_t_stack_sortable(1, 1) == 1
 
 
 # --- sortability predicates ------------------------------------------------
@@ -193,7 +192,7 @@ def test_census_pinned_counts():
 
 
 def test_census_parallel_matches_serial():
-    for n, check in ((3, False), (3, True), (5, False)):
+    for n, check in ((3, False), (3, True), (5, False), (6, False)):
         serial = census_stretch_sortable(n, check=check)
         parallel = census_stretch_sortable(n, check=check, jobs=2)
         assert (serial.total, serial.sortable, serial.candidates) == (
@@ -263,6 +262,35 @@ def test_census_check_catches_a_missing_diagram(monkeypatch, name, patch):
     census_stretch_sortable(3)  # the census alone does not notice
     with pytest.raises(VerificationError):
         census_stretch_sortable(3, check=True)
+
+
+def test_census_pool_only_above_threshold(monkeypatch):
+    started = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, chunks):
+            return map(fn, chunks)
+
+    monkeypatch.setattr(analysis_module, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(analysis_module.os, "cpu_count", lambda: 2)
+    assert [analysis_module._fubini(n) for n in range(7)] == FUBINI
+    assert FUBINI[5] <= analysis_module.POOL_MIN_CANDIDATES < FUBINI[6]
+    for n in (3, 5):
+        census_stretch_sortable(n, jobs=2)
+    assert started == []
+    census_stretch_sortable(6, jobs=2)
+    assert started == [2]
+    census_stretch_sortable(3, check=True, jobs=2)  # the oracle path always may
+    assert started == [2, 2]
 
 
 def test_worker_count_is_clamped(monkeypatch):

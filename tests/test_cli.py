@@ -117,6 +117,8 @@ def test_render_emits_dot(capsys):
     out = capsys.readouterr().out
     assert out.startswith("graph")
     assert "1'" in out
+    assert run(["render", "--dot", "--order", "2", "{1,2'|2,1'}"]) == 1  # DOT is the only format
+    assert capsys.readouterr().err.startswith("usage error:")
 
 
 def test_verify_smoke(capsys):

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import diagrams, random_diagram
+from reference import compose_by_graph_walk, sparse_diagram, stretched_identity
 from diagramsort.core import (
     AlgebraElement,
     XiPoly,
@@ -22,7 +23,6 @@ from diagramsort.core import (
     format_diagram,
     identity_diagram,
     parse_diagram,
-    propagation_number,
     to_dot,
 )
 
@@ -40,44 +40,6 @@ def _bell(m: int) -> int:
             nxt.append(nxt[-1] + x)
         row = nxt
     return row[0]
-
-
-def _components_by_bfs(d1, d2):
-    """Middle-row component count computed without union-find.
-
-    Builds the stacked 3n-node graph explicitly and walks it breadth
-    first, as an independent check on compose's bookkeeping.
-    """
-    n = d1.order
-    adj: dict[int, set[int]] = {x: set() for x in range(3 * n)}
-
-    def link(nodes):
-        for a in nodes:
-            for b in nodes:
-                if a != b:
-                    adj[a].add(b)
-
-    for block in d1.block_sets():
-        link([x - 1 if x > 0 else n - x - 1 for x in block])
-    for block in d2.block_sets():
-        link([n + x - 1 if x > 0 else 2 * n - x - 1 for x in block])
-
-    seen: set[int] = set()
-    middle_only = 0
-    for start in range(3 * n):
-        if start in seen:
-            continue
-        queue, comp = [start], {start}
-        while queue:
-            cur = queue.pop()
-            for nxt in adj[cur]:
-                if nxt not in comp:
-                    comp.add(nxt)
-                    queue.append(nxt)
-        seen |= comp
-        if all(n <= x < 2 * n for x in comp):
-            middle_only += 1
-    return middle_only
 
 
 # --- canonicalize ----------------------------------------------------------
@@ -163,8 +125,33 @@ def test_compose_middle_count_matches_graph_walk():
     for _ in range(300):
         n = rng.randint(0, 4)
         d1, d2 = random_diagram(rng, n), random_diagram(rng, n)
-        _, middle = compose(d1, d2)
-        assert middle == _components_by_bfs(d1, d2)
+        assert compose(d1, d2) == compose_by_graph_walk(d1, d2)
+
+
+def test_compose_matches_graph_walk_exhaustive():
+    for n in range(3):
+        every = list(enumerate_diagrams(n))
+        for d1 in every:
+            for d2 in every:
+                assert compose(d1, d2) == compose_by_graph_walk(d1, d2)
+
+
+def test_compose_matches_graph_walk_at_large_orders():
+    rng = random.Random(41)
+    middles = {"rgs": 0, "sparse": 0, "stretched": 0}
+    for _ in range(40):
+        n = rng.randint(3, 128)
+        pairs = {
+            "rgs": (random_diagram(rng, n), random_diagram(rng, n)),
+            "sparse": (sparse_diagram(rng, n, n), sparse_diagram(rng, n, n)),
+            "stretched": (stretched_identity(rng, n), stretched_identity(rng, n)),
+        }
+        for kind, (d1, d2) in pairs.items():
+            product, middle = compose(d1, d2)
+            assert (product, middle) == compose_by_graph_walk(d1, d2)
+            middles[kind] += middle
+    assert middles["sparse"] > 0  # the middle-only branch was exercised
+    assert middles["stretched"] == 0
 
 
 def test_compose_associativity_with_exponents():
@@ -214,9 +201,9 @@ def test_embed_injective_and_propagating():
 
 
 def test_propagation_number_examples():
-    assert propagation_number(parse_diagram(EX1_TEXT, 5)) == 1
-    assert propagation_number(identity_diagram(4)) == 4
-    assert propagation_number(parse_diagram("{}", 3)) == 0
+    assert parse_diagram(EX1_TEXT, 5).propagation_number() == 1
+    assert identity_diagram(4).propagation_number() == 4
+    assert parse_diagram("{}", 3).propagation_number() == 0
 
 
 def test_identity_diagram_examples():

@@ -7,6 +7,7 @@ from itertools import combinations, permutations
 
 import pytest
 
+from conftest import random_diagram
 from diagramsort.core import (
     canonicalize,
     enumerate_diagrams,
@@ -15,6 +16,7 @@ from diagramsort.core import (
     parse_diagram,
 )
 from diagramsort.stretch import SetComposition, delta_k, is_stretch_of_identity, stretch_map
+from reference import random_composition, stretch_by_nodes
 
 
 def _set_partitions(items):
@@ -101,6 +103,33 @@ def test_stretch_rejects_length_mismatch():
 def test_stretch_rejects_small_k():
     with pytest.raises(ValueError):
         stretch_map(SetComposition([{5}]), 4, identity_diagram(1))
+
+
+def test_stretch_matches_node_oracle():
+    rng = random.Random(19)
+    gaps = 0
+    for _ in range(300):
+        m = rng.randint(0, 6)
+        k = rng.randint(max(m, 1), 48)
+        alpha = random_composition(rng, k, m)
+        d = random_diagram(rng, m)
+        image = stretch_map(alpha, k, d)
+        assert image == stretch_by_nodes(alpha, k, d)
+        gaps += max((max(p) for p in alpha), default=0) > sum(map(len, alpha))
+    assert gaps > 0  # some supports skip indices below their largest
+
+
+@pytest.mark.parametrize(
+    "alpha, k, order, message",
+    [
+        ([{1}], 1, 2, "set composition length must equal the diagram order"),
+        ([{5}, {1}], 4, 2, "k must be at least the largest index used"),
+    ],
+)
+def test_stretch_errors_match_node_oracle(alpha, k, order, message):
+    for kernel in (stretch_map, stretch_by_nodes):
+        with pytest.raises(ValueError, match=message):
+            kernel(alpha, k, identity_diagram(order))
 
 
 def test_singleton_composition_acts_as_identity():
