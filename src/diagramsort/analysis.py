@@ -26,7 +26,7 @@ from itertools import combinations, permutations
 from math import comb
 from typing import Callable, Iterator, Sequence
 
-from .core import PartitionDiagram, _min_bit, _rgs_strings, enumerate_diagrams, format_diagram
+from .core import PartitionDiagram, _min_bit, _permutation, _rgs_strings, enumerate_diagrams, format_diagram
 from .sorting import Split, _expand, sort_diagram, sort_word
 from .stretch import is_stretch_of_identity
 
@@ -46,13 +46,6 @@ class VerificationError(Exception):
     """A cross-check that should always hold has failed."""
 
 
-def _check_permutation(word: Sequence[int]) -> tuple[int, ...]:
-    w = tuple(word)
-    if sorted(w) != list(range(1, len(w) + 1)):
-        raise ValueError("word is not a permutation of 1..n")
-    return w
-
-
 def contains_231(word: Sequence[int]) -> bool:
     """Whether positions i < j < k exist with p(k) < p(i) < p(j).
 
@@ -61,7 +54,7 @@ def contains_231(word: Sequence[int]) -> bool:
     >>> contains_231((3, 1, 2))
     False
     """
-    w = _check_permutation(word)
+    w = _permutation(word)
     n = len(w)
     # suffix_min[j] = smallest letter strictly right of position j
     suffix_min = [0] * n
@@ -78,7 +71,7 @@ def contains_231(word: Sequence[int]) -> bool:
 
 def is_t_stack_sortable(word: Sequence[int], t: int) -> bool:
     """Whether t passes of stack-sorting turn the permutation increasing."""
-    w = _check_permutation(word)
+    w = _permutation(word)
     if t < 0:
         raise ValueError("t must be nonnegative")
     for _ in range(t):

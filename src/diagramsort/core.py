@@ -62,6 +62,11 @@ def _max_bit(mask: int) -> int:
     return mask.bit_length()
 
 
+def _signed(block: tuple[int, int]) -> frozenset[int]:
+    t, b = block
+    return frozenset(_bits(t)) | frozenset(-i for i in _bits(b))
+
+
 def _block_key(block: tuple[int, int]) -> tuple[int, int]:
     # Canonical node order is top 1 < ... < top n < bottom 1 < ... < bottom n.
     t, b = block
@@ -132,10 +137,7 @@ class PartitionDiagram:
 
     def block_sets(self) -> tuple[frozenset[int], ...]:
         """Blocks as frozensets of signed nodes (+i top, -i bottom)."""
-        return tuple(
-            frozenset(i for i in _bits(t)) | frozenset(-i for i in _bits(b))
-            for t, b in self.blocks
-        )
+        return tuple(map(_signed, self.blocks))
 
     def propagation_number(self) -> int:
         """Number of blocks containing nodes of both rows."""
@@ -199,12 +201,17 @@ def identity_diagram(order: int) -> PartitionDiagram:
     return PartitionDiagram(order, [(m, m) for m in bit])
 
 
+def _permutation(word: Iterable[int]) -> tuple[int, ...]:
+    w = tuple(word)
+    if sorted(w) != list(range(1, len(w) + 1)):
+        raise ValueError("word is not a permutation of 1..n")
+    return w
+
+
 def embed_permutation(word: Iterable[int]) -> PartitionDiagram:
     """Diagram of a permutation p: blocks {i, p(i)'} for i = 1..n."""
-    w = tuple(word)
+    w = _permutation(word)
     n = len(w)
-    if sorted(w) != list(range(1, n + 1)):
-        raise ValueError("word is not a permutation of 1..n")
     return PartitionDiagram(n, [(1 << i, 1 << (w[i] - 1)) for i in range(n)])
 
 

@@ -24,6 +24,7 @@ from .core import (
     _max_bit,
     _min_bit,
     _pad_blocks,
+    _signed,
 )
 
 __all__ = [
@@ -106,11 +107,6 @@ class TraceEvent:
 
     bottom: frozenset[int]
     assignment: Mapping[frozenset[int], FactorTag]
-
-
-def _signed(block: tuple[int, int]) -> frozenset[int]:
-    t, b = block
-    return frozenset(i for i in _bits(t)) | frozenset(-i for i in _bits(b))
 
 
 def _is_singleton(block: tuple[int, int]) -> bool:

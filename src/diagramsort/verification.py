@@ -28,7 +28,7 @@ from .core import (
     identity_diagram,
     parse_diagram,
 )
-from .sorting import sort_diagram, sort_diagram_traced, sort_word
+from .sorting import sort_diagram, sort_word
 from .stretch import SetComposition, is_stretch_of_identity, stretch_map
 from .analysis import (
     _bell,
@@ -40,7 +40,7 @@ from .analysis import (
     is_t_stack_sortable,
 )
 
-__all__ = ["CheckResult", "run_checks", "SORTABLE_COUNTS"]
+__all__ = ["CheckResult", "run_checks", "SORTABLE_COUNTS", "SORTABLE_COUNTS_DEEP"]
 
 # Stretch-stack-sortable counts per order: regression constants computed
 # by this package's census and cross-checked by its exhaustive Bell(2n)
@@ -342,7 +342,7 @@ def _check_census_regression(deep: bool) -> str:
 
 
 def run_checks(deep: bool = False, seed: int = 2024) -> list[CheckResult]:
-    """Run the whole suite; ``deep`` extends the exhaustive scans to order 5, the census to 6."""
+    """Run the whole suite; ``deep`` extends the predicate sweep to order 5, the census to 6."""
     rng = random.Random(seed)
     suite: list[tuple[str, Callable[[], str]]] = [
         ("golden-examples", _check_golden_examples),

@@ -1,10 +1,10 @@
 """Slow oracles written from the definitions, plus input generators.
 
-Nothing here reuses the library's kernels: the word sort is the
-recursive L n R definition, the diagram sort recurses on blocks held
-as frozensets of signed nodes (+i top, -i bottom), composition walks the
-stacked 3n-node graph, and the stretch inflates signed-node sets and pads
-them with ``delta_k``.
+Nothing here reuses the library's kernels: the diagram sort recurses on
+blocks held as frozensets of signed nodes (+i top, -i bottom),
+composition walks the stacked 3n-node graph, and the stretch inflates
+signed-node sets and pads them with ``delta_k``.  The recursive L n R
+word sort is ``diagramsort.verification._sort_word_by_definition``.
 """
 
 from __future__ import annotations
@@ -14,15 +14,6 @@ from itertools import combinations
 
 from diagramsort.core import PartitionDiagram, canonicalize, identity_diagram
 from diagramsort.stretch import delta_k
-
-
-def sort_word_by_definition(word):
-    """sort(L n R) = sort(L) sort(R) n, where n is the largest letter."""
-    w = tuple(word)
-    if not w:
-        return ()
-    i = w.index(max(w))
-    return sort_word_by_definition(w[:i]) + sort_word_by_definition(w[i + 1 :]) + (w[i],)
 
 
 def _tops(block):

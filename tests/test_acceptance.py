@@ -9,28 +9,19 @@ from __future__ import annotations
 import os
 import time
 from contextlib import contextmanager
-from itertools import permutations
-from math import factorial
 
 import pytest
 
-from diagramsort.analysis import (
-    census_stretch_sortable,
-    contains_231,
-    count_t_stack_sortable,
-    is_sss_direct,
-    is_sss_theorem,
-    is_t_stack_sortable,
-)
+from diagramsort.analysis import census_stretch_sortable
 from diagramsort.cli import run
-from diagramsort.core import compose, embed_permutation, identity_diagram, parse_diagram
-from diagramsort.sorting import sort_diagram, sort_word
-from diagramsort.stretch import SetComposition, stretch_map
-from diagramsort.verification import run_checks
-
-# Computed by this package's exhaustive census, not taken from elsewhere.
-PINNED_SORTABLE = {1: 1, 2: 3, 3: 12, 4: 56}
-PINNED_SORTABLE_DEEP = {5: 297}
+from diagramsort.verification import (
+    SORTABLE_COUNTS,
+    _check_golden_examples,
+    _check_knuth_catalan,
+    _check_lift_of_word_sort,
+    _check_two_stack_counts,
+    run_checks,
+)
 
 
 @contextmanager
@@ -50,70 +41,22 @@ def criterion(number: int, label: str, bound: float | None = None):
 
 def test_criterion_1_golden_evaluations():
     with criterion(1, "golden-evaluations", bound=1.0):
-        d1 = parse_diagram("{1,4|2,3,4',5'|5|1',3'|2'}", 5)
-        d2 = parse_diagram("{1,3|2,4,3'|5,4',5'}", 5)
-        product, middle = compose(d1, d2)
-        assert product == parse_diagram("{1,4|2,3,3',4',5'}", 5)
-        assert middle == 1
-
-        big = parse_diagram("{1,2|3,5,7,2',4',6'|4,3'|6,7'|5',8'}", 8)
-        assert sort_diagram(big) == parse_diagram(
-            "{1,3'|2,3,4,2',4',6'|5,7'|6,7|5',8'}", 8
-        )
-
-        assert sort_diagram(embed_permutation((3, 1, 2))) == identity_diagram(3)
-
-        four = parse_diagram("{1,4'|2,1'|3,4,2',3'}", 4)
-        assert sort_diagram(four) == parse_diagram("{1,1'|2,3,2',3'|4,4'}", 4)
-
-        sortable = parse_diagram("{1,3,2',3'|2,1'}", 3)
-        assert is_sss_direct(sortable)
-
-        nine = parse_diagram("{1,2,3,4',5',6'|4,6,7,1',2',3'|5,8,9,7',8',9'}", 9)
-        assert sort_diagram(nine) == parse_diagram(
-            "{1,2,3,4',5',6'|4,5,6,1',2',3'|7,8,9,7',8',9'}", 9
-        )
-        assert not is_sss_direct(nine)
-
-        alpha = SetComposition.parse("1,2|3|5,6,7|4")
-        assert stretch_map(alpha, 7, identity_diagram(4)) == parse_diagram(
-            "{1,2,1',2'|3,3'|4,4'|5,6,7,5',6',7'}", 7
-        )
+        _check_golden_examples()
 
 
 def test_criterion_2_lift_commutes_with_word_sort():
     with criterion(2, "lift-commutes-with-word-sort", bound=5.0):
-        seen = 0
-        for n in range(1, 7):
-            for p in permutations(range(1, n + 1)):
-                assert sort_diagram(embed_permutation(p)) == embed_permutation(
-                    sort_word(p)
-                )
-                seen += 1
-        assert seen == sum(factorial(n) for n in range(1, 7))
+        _check_lift_of_word_sort()
 
 
 def test_criterion_3_one_pass_sortable_iff_231_avoiding():
     with criterion(3, "one-pass-sortable-iff-231-avoiding", bound=5.0):
-        catalan = []
-        for n in range(1, 8):
-            hits = 0
-            for p in permutations(range(1, n + 1)):
-                sortable = is_t_stack_sortable(p, 1)
-                assert sortable == (not contains_231(p))
-                hits += sortable
-            catalan.append(hits)
-        assert catalan == [1, 2, 5, 14, 42, 132, 429]
+        _check_knuth_catalan()
 
 
 def test_criterion_4_two_pass_sortable_counts():
     with criterion(4, "two-pass-sortable-counts", bound=30.0):
-        got = [count_t_stack_sortable(n, 2) for n in range(1, 8)]
-        want = [
-            2 * factorial(3 * n) // (factorial(n + 1) * factorial(2 * n + 1))
-            for n in range(1, 8)
-        ]
-        assert got == want == [1, 2, 6, 22, 91, 408, 1938]
+        _check_two_stack_counts()
 
 
 def test_criterion_5_predicates_equivalent_order_4():
@@ -121,7 +64,7 @@ def test_criterion_5_predicates_equivalent_order_4():
         # check=True raises if the two predicates ever disagree
         row = census_stretch_sortable(4, check=True)
         assert row.total == 4140
-        assert row.sortable == PINNED_SORTABLE[4]
+        assert row.sortable == SORTABLE_COUNTS[4]
 
 
 @pytest.mark.skipif(
@@ -132,7 +75,7 @@ def test_criterion_5_deep_predicates_equivalent_order_5():
     with criterion(5, "predicates-equivalent-order-5", bound=900.0):
         row = census_stretch_sortable(5, check=True, jobs=4)
         assert row.total == 115975
-        assert row.sortable == PINNED_SORTABLE_DEEP[5]
+        assert row.sortable == SORTABLE_COUNTS[5]
 
 
 def test_criterion_6_invariant_suite():
@@ -140,15 +83,14 @@ def test_criterion_6_invariant_suite():
         results = run_checks()
         failed = [r for r in results if not r.ok]
         assert not failed, [f"{r.name}: {r.detail}" for r in failed]
-        wanted = {
-            "compose-identity-laws",
-            "compose-associativity",
-            "sort-structure",
-            "stretch-round-trip",
-            "stretch-characterization",
-            "parser-round-trip",
-        }
-        assert wanted <= {r.name for r in results}
+        # Unit tests rely on these checks for their exhaustive sweeps; none may go missing.
+        assert [r.name for r in results] == [
+            "golden-examples", "word-sort-oracle", "lift-of-word-sort", "knuth-catalan",
+            "two-stack-counts", "predicates-agree", "compose-identity-laws",
+            "compose-associativity", "sort-structure", "embedding", "enumeration-counts",
+            "stretch-round-trip", "stretch-characterization", "t-sortable-monotone",
+            "restriction-to-permutations", "parser-round-trip", "census-regression",
+        ]
 
 
 def test_criterion_7_census_determinism(capsys):
@@ -161,9 +103,5 @@ def test_criterion_7_census_determinism(capsys):
 
         first, second = rows(), rows()
         assert first == second
-        assert first == [
-            ["1", "2", "1"],
-            ["2", "15", "3"],
-            ["3", "203", "12"],
-            ["4", "4140", "56"],
-        ]
+        totals = {1: "2", 2: "15", 3: "203", 4: "4140"}
+        assert first == [[str(n), totals[n], str(SORTABLE_COUNTS[n])] for n in totals]

@@ -12,7 +12,10 @@ from pathlib import Path
 import pytest
 
 import diagramsort
+import diagramsort.cli as cli_module
+from diagramsort.analysis import VerificationError
 from diagramsort.cli import run
+from diagramsort.verification import SORTABLE_COUNTS, CheckResult
 
 EX_LEFT = "{1,4|2,3,4',5'|5|1',3'|2'}"
 EX_RIGHT = "{1,3|2,4,3'|5,4',5'|1'|2'}"
@@ -75,34 +78,49 @@ def test_check_on_unsortable_diagram(capsys):
     assert "sortable_structural=false" in out
 
 
+def test_check_exits_two_when_predicates_disagree(monkeypatch, capsys):
+    monkeypatch.setattr(cli_module, "is_sss_theorem", lambda d: True)
+    assert run(["check", "--order", "2", "{1,2|1',2'}"]) == 2
+    assert capsys.readouterr().err.startswith("verification failure: predicates disagree")
+
+
 def test_census_single_order(capsys):
     assert run(["census", "--n", "1"]) == 0
     captured = capsys.readouterr()
     assert captured.err.startswith("# sortable counts are computed, not from paper")
-    assert captured.out.startswith("1\t2\t1\t")
+    assert captured.out.startswith(f"1\t2\t{SORTABLE_COUNTS[1]}\t")
 
 
 def test_census_json_rows(capsys):
     assert run(["census", "--n", "1..3", "--json", "--check"]) == 0
     rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert [(r["n"], r["total"], r["sortable"], r["candidates"]) for r in rows] == [
-        (1, 2, 1, 2),
-        (2, 15, 3, 15),
-        (3, 203, 12, 203),
+        (n, total, SORTABLE_COUNTS[n], total) for n, total in ((1, 2), (2, 15), (3, 203))
     ]
     assert run(["census", "--n", "3", "--json"]) == 0
     row = json.loads(capsys.readouterr().out)
-    assert (row["total"], row["sortable"], row["candidates"]) == (203, 12, 13)
+    assert (row["total"], row["sortable"], row["candidates"]) == (203, SORTABLE_COUNTS[3], 13)
 
 
 def test_census_order_zero(capsys):
     assert run(["census", "--n", "0"]) == 0
-    assert capsys.readouterr().out.startswith("0\t1\t1\t")
+    assert capsys.readouterr().out.startswith(f"0\t1\t{SORTABLE_COUNTS[0]}\t")
 
 
 def test_census_rejects_empty_range(capsys):
     assert run(["census", "--n", "3..1"]) == 1
     assert "error" in capsys.readouterr().err
+    assert run(["census", "--deep"]) == 1  # spelled --n lo..5
+    assert capsys.readouterr().err.startswith("usage error:")
+
+
+def test_census_check_exits_two_on_verification_error(monkeypatch, capsys):
+    def failing(n, check=False, jobs=1):
+        raise VerificationError(f"oracle disagrees at order {n}")
+
+    monkeypatch.setattr(cli_module, "census_stretch_sortable", failing)
+    assert run(["census", "--n", "2", "--check"]) == 2
+    assert "verification failure: oracle disagrees at order 2" in capsys.readouterr().err
 
 
 def test_count_sortable(capsys):
@@ -121,11 +139,26 @@ def test_render_emits_dot(capsys):
     assert capsys.readouterr().err.startswith("usage error:")
 
 
-def test_verify_smoke(capsys):
+def test_verify_smoke(monkeypatch, capsys):
+    # The suite itself runs once, in test_acceptance criterion 6; here only the reporting.
+    calls = []
+    results = [CheckResult("alpha", True, "2 things", 0.5), CheckResult("beta", True, "3 things", 0.25)]
+
+    def recording(deep=False, seed=2024):
+        calls.append((deep, seed))
+        return results
+
+    monkeypatch.setattr(cli_module, "run_checks", recording)
     assert run(["verify"]) == 0
-    out = capsys.readouterr().out
-    assert "checks passed" in out
-    assert "FAIL" not in out
+    assert capsys.readouterr().out == (
+        "ok   alpha: 2 things (0.50s)\nok   beta: 3 things (0.25s)\nall 2 checks passed\n"
+    )
+    results[1] = CheckResult("beta", False, "count off", 0.25)
+    assert run(["verify", "--deep", "--seed", "7"]) == 2
+    captured = capsys.readouterr()
+    assert "FAIL beta: count off (0.25s)" in captured.out
+    assert captured.err == "1 of 2 checks failed\n"
+    assert calls == [(False, 2024), (True, 7)]
 
 
 def test_domain_error_exits_one(capsys):

@@ -4,15 +4,13 @@ from __future__ import annotations
 
 import os
 import random
-from collections import Counter
-from itertools import permutations
 
 import pytest
 from hypothesis import given
 
 import diagramsort.sorting as sorting_module
 from conftest import diagrams, random_diagram
-from reference import sort_diagram_by_definition, sort_word_by_definition, structural_candidate
+from reference import sort_diagram_by_definition, structural_candidate
 from diagramsort.core import (
     PartitionDiagram,
     canonicalize,
@@ -30,6 +28,7 @@ from diagramsort.sorting import (
     sort_diagram_traced,
     sort_word,
 )
+from diagramsort.verification import _signature
 
 EX5_IN = "{1,2|3,5,7,2',4',6'|4,3'|6,7'|8|1'|5',8'}"
 EX5_OUT = "{1,3'|2,3,4,2',4',6'|5,7'|6,7|8|1'|5',8'}"
@@ -57,12 +56,6 @@ def test_sort_word_rejects_repeats():
 
 def test_sort_word_keeps_letter_set():
     assert sort_word((9, 2, 7)) == (2, 7, 9)
-
-
-def test_sort_word_matches_recursive_definition():
-    for n in range(8):
-        for p in permutations(range(1, n + 1)):
-            assert sort_word(p) == sort_word_by_definition(p)
 
 
 # --- decompose -------------------------------------------------------------
@@ -203,32 +196,6 @@ def test_sort_fixes_identity():
         assert sort_diagram(identity_diagram(n)) == identity_diagram(n)
 
 
-def test_sort_fixes_non_propagating_diagrams():
-    for n in range(4):
-        for d in enumerate_diagrams(n):
-            if d.propagation_number() == 0:
-                assert sort_diagram(d) == d
-
-
-def test_lift_agrees_with_word_sort():
-    for n in range(1, 7):
-        for p in permutations(range(1, n + 1)):
-            assert sort_diagram(embed_permutation(p)) == embed_permutation(sort_word(p))
-
-
-def test_sort_structure_exhaustive_small():
-    signature = lambda d: Counter((t.bit_count(), b.bit_count()) for t, b in d.blocks)
-    for n in range(5):
-        for d in enumerate_diagrams(n):
-            s = sort_diagram(d)
-            assert s.order == d.order
-            assert signature(s) == signature(d)
-            bottoms = {b for _, b in d.blocks}
-            for t, b in s.blocks:
-                if (t | b).bit_count() > 1 and b:
-                    assert b in bottoms
-
-
 def test_sort_matches_reference_exhaustive():
     for n in range(5):
         for d in enumerate_diagrams(n):
@@ -275,8 +242,7 @@ def test_sort_is_idempotent_on_its_fixpoints_signature(d):
     # The image always sorts to a diagram with the same signature again.
     once = sort_diagram(d)
     twice = sort_diagram(once)
-    signature = lambda dd: Counter((t.bit_count(), b.bit_count()) for t, b in dd.blocks)
-    assert signature(once) == signature(twice)
+    assert _signature(once) == _signature(twice)
 
 
 # --- traces ----------------------------------------------------------------
