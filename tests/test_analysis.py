@@ -26,7 +26,13 @@ from diagramsort.core import (
     identity_diagram,
     parse_diagram,
 )
-from diagramsort.verification import SORTABLE_COUNTS
+from diagramsort.verification import (
+    SORTABLE_COUNTS,
+    _check_knuth_catalan,
+    _check_monotone,
+    _check_predicates_agree,
+    _check_restriction,
+)
 from reference import structural_candidate
 
 # Ordered Bell (Fubini) numbers, OEIS A000670: structural candidates per order 0..6.
@@ -78,6 +84,14 @@ def test_t_sortable_rejects_bad_input():
         is_t_stack_sortable((1, 2), -1)
 
 
+def test_knuth_equivalence():
+    assert _check_knuth_catalan() == "one-pass sortable == 231-avoiding == Catalan, n <= 7"
+
+
+def test_monotone_in_t():
+    assert _check_monotone() == "t-sortable implies (t+1)-sortable, n <= 6"
+
+
 # --- counts ----------------------------------------------------------------
 
 
@@ -126,6 +140,10 @@ def test_structural_predicate_examples():
     assert not is_sss_theorem(canonicalize([{1, -1, -3}, {2, 3, -2}], 3))
 
 
+def test_predicates_agree_exhaustively():
+    assert _check_predicates_agree(deep=False) == "4361 diagrams, n <= 4"
+
+
 def test_predicates_agree_on_structural_candidates():
     rng = random.Random(64)
     verdicts = {"scatter": set(), "avoid": set(), "swap": set()}
@@ -138,6 +156,10 @@ def test_predicates_agree_on_structural_candidates():
                 seen.add(direct)
     assert verdicts["avoid"] == {True}
     assert verdicts["scatter"] == verdicts["swap"] == {True, False}
+
+
+def test_restriction_to_permutations():
+    assert _check_restriction() == "153 permutations, n <= 5"
 
 
 # --- census ----------------------------------------------------------------

@@ -24,6 +24,7 @@ from diagramsort.core import (
     parse_diagram,
     to_dot,
 )
+from diagramsort.verification import _check_embedding, _check_identity_laws
 
 EX1_TEXT = "{1,4|2,3,4',5'|5|1',3'|2'}"
 EX2_RIGHT = "{1,3|2,4,3'|5,4',5'|1'|2'}"
@@ -106,6 +107,10 @@ def test_compose_example_pair():
     assert middle == 1
 
 
+def test_compose_identity_laws_exhaustive():
+    assert _check_identity_laws() == "221 diagrams, n <= 3"
+
+
 def test_compose_rejects_order_mismatch():
     with pytest.raises(ValueError):
         compose(identity_diagram(2), identity_diagram(3))
@@ -179,6 +184,10 @@ def test_embed_rejects_non_permutation():
         embed_permutation((1, 3))
     with pytest.raises(ValueError):
         embed_permutation((1, 1))
+
+
+def test_embed_injective_and_propagating():
+    assert _check_embedding() == "injective with full propagation, n <= 6"
 
 
 def test_propagation_number_examples():

@@ -28,7 +28,12 @@ from diagramsort.sorting import (
     sort_diagram_traced,
     sort_word,
 )
-from diagramsort.verification import _signature
+from diagramsort.verification import (
+    _check_lift_of_word_sort,
+    _check_sort_structure,
+    _check_word_sort_oracle,
+    _signature,
+)
 
 EX5_IN = "{1,2|3,5,7,2',4',6'|4,3'|6,7'|8|1'|5',8'}"
 EX5_OUT = "{1,3'|2,3,4,2',4',6'|5,7'|6,7|8|1'|5',8'}"
@@ -56,6 +61,10 @@ def test_sort_word_rejects_repeats():
 
 def test_sort_word_keeps_letter_set():
     assert sort_word((9, 2, 7)) == (2, 7, 9)
+
+
+def test_sort_word_matches_recursive_definition():
+    assert _check_word_sort_oracle() == "5914 words against the recursive definition"
 
 
 # --- decompose -------------------------------------------------------------
@@ -194,6 +203,19 @@ def test_sort_keeps_middle_groups_in_order():
 def test_sort_fixes_identity():
     for n in range(6):
         assert sort_diagram(identity_diagram(n)) == identity_diagram(n)
+
+
+def test_sort_fixes_non_propagating_diagrams():
+    # sort-structure also requires every non-propagating diagram to be fixed.
+    assert _check_sort_structure() == "4361 diagrams, n <= 4"
+
+
+def test_lift_agrees_with_word_sort():
+    assert _check_lift_of_word_sort() == "873 permutations, n <= 6"
+
+
+def test_sort_structure_exhaustive_small():
+    assert _check_sort_structure() == "4361 diagrams, n <= 4"
 
 
 def test_sort_matches_reference_exhaustive():

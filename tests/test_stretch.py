@@ -14,6 +14,7 @@ from diagramsort.core import (
     parse_diagram,
 )
 from diagramsort.stretch import SetComposition, delta_k, is_stretch_of_identity, stretch_map
+from diagramsort.verification import _check_stretch_characterization
 from reference import random_composition, stretch_by_nodes
 
 
@@ -109,6 +110,11 @@ def test_stretch_errors_match_node_oracle(alpha, k, order, message):
             kernel(alpha, k, identity_diagram(order))
 
 
+def test_singleton_composition_acts_as_identity():
+    # stretch-characterization also requires the singleton composition to fix every diagram.
+    assert _check_stretch_characterization() == "221 diagrams against brute-force search, n <= 3"
+
+
 def test_stretch_round_trip_random():
     rng = random.Random(11)
     for _ in range(1000):
@@ -134,3 +140,7 @@ def test_stretch_of_identity_spot_values():
     assert not is_stretch_of_identity(parse_diagram("{}", 1))
     assert not is_stretch_of_identity(canonicalize([{1, -2}, {2, -1}], 2))
     assert is_stretch_of_identity(canonicalize([], 0))
+
+
+def test_characterization_against_brute_force():
+    assert _check_stretch_characterization() == "221 diagrams against brute-force search, n <= 3"
