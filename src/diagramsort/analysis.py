@@ -1,16 +1,16 @@
 """Sortability predicates, pattern counts, and the sortability census.
 
 A diagram is stretch-stack-sortable when its stack-sorting image is a
-stretch of an identity diagram.  Besides the direct test, there is an
-equivalent structural test: every block must propagate with equally many
-top and bottom nodes, each block's bottom indices must be consecutive,
-and no split step may assign a block with larger bottom labels to an
-earlier factor than a block with smaller ones.
+stretch of an identity diagram.  The direct test sorts and inspects the
+image.  The equivalent structural test builds no image: it checks block
+shapes, then streams through the split recursion and stops at the first
+step that puts a block in an earlier factor than one with smaller bottom
+labels.
 
 A stretched identity has equal top and bottom sets in every block, and
 the sort keeps each block's sizes, never moves a bottom label and gives
-each propagating block consecutive top labels, so only diagrams meeting
-the first three conditions can be sortable.  The census
+each propagating block consecutive top labels, so only diagrams of the
+right block shapes can be sortable.  The census
 sorts just these structural candidates, Fubini(n) of the Bell(2n)
 diagrams; its ``check`` mode sorts all Bell(2n) as the oracle.  The counts
 are computed here, not quoted from any published table.
@@ -20,14 +20,13 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations, permutations
 from math import comb
 from typing import Callable, Iterator, Sequence
 
-from .core import PartitionDiagram, _min_bit, _permutation, _rgs_strings, enumerate_diagrams, format_diagram
-from .sorting import Split, _expand, sort_diagram, sort_word
+from .core import PartitionDiagram, _permutation, _rgs_strings, enumerate_diagrams, format_diagram
+from .sorting import _split, sort_diagram, sort_word
 from .stretch import is_stretch_of_identity
 
 __all__ = [
@@ -89,35 +88,42 @@ def _is_interval(mask: int) -> bool:
     return shifted & (shifted + 1) == 0
 
 
-def is_sss_theorem(diagram: PartitionDiagram) -> bool:
-    """Stretch-stack-sortability by the structural test (no image needed).
-
-    Conditions: every block propagates; every block has equally many top
-    and bottom nodes; every block's bottom indices are consecutive; and in
-    no split step does a block with larger bottom labels land in a factor
-    strictly earlier (left factor before middle groups before right
-    factor) than a block with smaller bottom labels.
-    """
+def _structural_failure(diagram: PartitionDiagram) -> str | None:
+    """The first structural condition broken, or None; step k is line k of ``sort --trace``."""
     for t, b in diagram.blocks:
         if not (t and b):
-            return False
+            return "non-propagating block"
         if t.bit_count() != b.bit_count():
-            return False
+            return "unequal top and bottom sizes"
         if not _is_interval(b):
-            return False
-    steps: list[Split] = []
-    _expand(diagram, steps)
-    for _, left, groups, right in steps:
-        # Rank factors L < M_1 < ... < M_k < R; tag each block by its least bottom node.
-        tagged = sorted(
-            (_min_bit(b), rank)
-            for rank, piece in enumerate((left, *groups, right))
-            for _, b in piece
-        )
-        for (_, earlier), (_, later) in zip(tagged, tagged[1:]):
-            if later < earlier:
-                return False
-    return True
+            return "non-interval bottom"
+    work = [list(diagram.blocks)] if diagram.blocks else []
+    step = 0
+    while work:  # all blocks propagate: nonempty pieces split
+        step += 1
+        _, left, groups, right = _split(work.pop(), diagram.order)
+        # Bottoms are disjoint intervals: as integers they order like their least nodes.
+        reach = 0
+        for piece in (left, *groups, right):
+            if piece:
+                bottoms = [b for _, b in piece]
+                if min(bottoms) < reach:
+                    return f"split step {step}: factor order broken"
+                reach = max(bottoms)
+        work += [p for p in (right, *reversed(groups), left) if p]
+    return None
+
+
+def is_sss_theorem(diagram: PartitionDiagram) -> bool:
+    """Stretch-stack-sortability by the structural test, without sorting.
+
+    Every block must propagate with equally many top and bottom nodes and
+    consecutive bottom indices.  Then each split step is checked as the
+    recursion makes it: no block may land in an earlier factor (left,
+    middle groups, right) than a block with smaller bottom labels.
+    The test stops at the first broken step.
+    """
+    return _structural_failure(diagram) is None
 
 
 @dataclass(frozen=True)
@@ -231,6 +237,8 @@ def _map_chunks(fn: Callable, chunks: list, jobs: int) -> list:
     workers = _worker_count(jobs, len(chunks))
     if workers == 1:
         return [fn(chunk) for chunk in chunks]
+    from concurrent.futures import ProcessPoolExecutor  # 2.5 MB: import on first use
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, chunks))
 
@@ -256,7 +264,7 @@ def census_stretch_sortable(n: int, *, check: bool = False, jobs: int = 1) -> Ce
     candidates = sum(c for c, _ in counts)
     sortable = sum(s for _, s in counts)
     if check:
-        prefixes = _rgs_strings(min(2 * n, 4))
+        prefixes = _rgs_strings(min(2 * n, 6))  # Bell(6) = 203 chunks
         scans = _map_chunks(_scan, [(n, p) for p in prefixes], jobs)
         candidates = sum(t for t, _ in scans)  # the oracle sorts every diagram
         if candidates != total:

@@ -14,6 +14,7 @@ from typing import Sequence
 
 from .analysis import (
     VerificationError,
+    _structural_failure,
     census_stretch_sortable,
     count_t_stack_sortable,
     is_sss_direct,
@@ -112,6 +113,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     print(f"stretch_of_identity={str(is_stretch_of_identity(diagram)).lower()}")
     print(f"sortable_direct={str(direct).lower()}")
     print(f"sortable_structural={str(structural).lower()}")
+    print(f"structural_failure={_structural_failure(diagram) or 'none'}")
     if direct != structural:
         raise VerificationError(f"predicates disagree on {format_diagram(diagram)}")
     return 0

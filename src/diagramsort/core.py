@@ -58,10 +58,6 @@ def _min_bit(mask: int) -> int:
     return (mask & -mask).bit_length()
 
 
-def _max_bit(mask: int) -> int:
-    return mask.bit_length()
-
-
 def _signed(block: tuple[int, int]) -> frozenset[int]:
     t, b = block
     return frozenset(_bits(t)) | frozenset(-i for i in _bits(b))

@@ -21,8 +21,6 @@ from .core import (
     PartitionDiagram,
     _bits,
     _block_key,
-    _max_bit,
-    _min_bit,
     _pad_blocks,
     _signed,
 )
@@ -125,11 +123,13 @@ def _group_middle(blocks: list[tuple[int, int]], order: int) -> list[list[tuple[
     1' < 2' < ... < n' < 1 < 2 < ... < n.  Blocks are related when extents
     intersect, and groups are the connected components of that relation.
     """
+    if len(blocks) < 2:
+        return [blocks] if blocks else []
     items = []
     for blk in blocks:
         t, b = blk
-        lo = _min_bit(b) if b else order + _min_bit(t)
-        hi = order + _max_bit(t) if t else _max_bit(b)
+        lo = (b & -b).bit_length() if b else order + (t & -t).bit_length()
+        hi = order + t.bit_length() if t else b.bit_length()
         items.append((lo, hi, blk))
     items.sort(key=lambda x: (x[0], x[1]))
     groups: list[list[tuple[int, int]]] = []
@@ -182,7 +182,8 @@ def _expand(diagram: PartitionDiagram, steps: list[Split] | None = None) -> list
     a factor without a propagating block is a leaf.  The result lists the
     chosen blocks in factor order, then the leaves' top-only blocks (each
     leaf's by least top node, an order every split keeps), then the
-    bottom-only blocks.  Splits are appended to ``steps`` when given.
+    bottom-only blocks.  Empty pieces are skipped.  Splits are appended to
+    ``steps`` when given.
     """
     props: list[Block] = []
     tops: list[Block] = []
@@ -202,7 +203,7 @@ def _expand(diagram: PartitionDiagram, steps: list[Split] | None = None) -> list
         if steps is not None:
             steps.append(split)
         chosen, left, groups, right = split
-        work += [chosen, right, *reversed(groups), left]  # left pops first
+        work += [p for p in (chosen, right, *reversed(groups), left) if p]  # left pops first
     return props + tops + bottoms
 
 

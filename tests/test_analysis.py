@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import random
 from itertools import combinations, permutations
 from math import comb, factorial
@@ -22,10 +23,12 @@ from diagramsort.analysis import (
 from diagramsort.core import (
     PartitionDiagram,
     canonicalize,
+    embed_permutation,
     enumerate_diagrams,
     identity_diagram,
     parse_diagram,
 )
+from diagramsort.sorting import sort_diagram_traced
 from diagramsort.verification import (
     SORTABLE_COUNTS,
     _check_knuth_catalan,
@@ -140,6 +143,26 @@ def test_structural_predicate_examples():
     assert not is_sss_theorem(canonicalize([{1, -1, -3}, {2, 3, -2}], 3))
 
 
+def test_structural_test_stops_at_first_broken_step(monkeypatch):
+    calls = []
+    real_split = analysis_module._split
+
+    def counting_split(blocks, order):
+        calls.append(len(blocks))
+        return real_split(blocks, order)
+
+    monkeypatch.setattr(analysis_module, "_split", counting_split)
+    # The first split puts {1,2'} in L and {3,1'} in R: broken at once.
+    assert not is_sss_theorem(embed_permutation((2, 3, 1)))
+    assert calls == [3]
+    calls.clear()
+    # A stretched identity of order 64 on 16 consecutive intervals.
+    cuts = [0, *sorted(random.Random(7).sample(range(1, 64), 15)), 64]
+    d = PartitionDiagram(64, [(((1 << (hi - lo)) - 1) << lo,) * 2 for lo, hi in zip(cuts, cuts[1:])])
+    assert is_sss_theorem(d)
+    assert 1 < len(calls) == len(sort_diagram_traced(d)[1])  # one call per step, none on empty pieces
+
+
 def test_predicates_agree_exhaustively():
     assert _check_predicates_agree(deep=False) == "4361 diagrams, n <= 4"
 
@@ -239,7 +262,7 @@ def _drop_identity(real):
 def _drop_first_diagram(real):
     def enumerate_diagrams(order, prefix=()):
         it = real(order, prefix)
-        if prefix == (0, 0, 0, 0):
+        if prefix and not any(prefix):  # the one all-zero chunk, at any prefix depth
             next(it)
         return it
 
@@ -273,7 +296,7 @@ def test_census_pool_only_above_threshold(monkeypatch):
         def map(self, fn, chunks):
             return map(fn, chunks)
 
-    monkeypatch.setattr(analysis_module, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(analysis_module.os, "cpu_count", lambda: 2)
     assert [analysis_module._fubini(n) for n in range(7)] == FUBINI
     assert FUBINI[5] <= analysis_module.POOL_MIN_CANDIDATES < FUBINI[6]

@@ -68,6 +68,7 @@ def test_check_reports_predicates(capsys):
         "stretch_of_identity=false\n"
         "sortable_direct=true\n"
         "sortable_structural=true\n"
+        "structural_failure=none\n"
     )
 
 
@@ -76,6 +77,23 @@ def test_check_on_unsortable_diagram(capsys):
     out = capsys.readouterr().out
     assert "sortable_direct=false" in out
     assert "sortable_structural=false" in out
+    assert out.endswith("structural_failure=non-propagating block\n")
+
+
+@pytest.mark.parametrize(
+    "order, text, reason",
+    [
+        (3, "{1,2,1'|3,2',3'}", "unequal top and bottom sizes"),
+        (3, "{1,2,1',3'|3,2'}", "non-interval bottom"),
+        (3, "{1,2'|2,3'|3,1'}", "split step 1: factor order broken"),  # 231
+        (4, "{1,2'|2,3'|3,1'|4,4'}", "split step 2: factor order broken"),  # 2314
+    ],
+)
+def test_check_names_structural_failure(capsys, order, text, reason):
+    assert run(["check", "--order", str(order), text]) == 0
+    out = capsys.readouterr().out
+    assert "sortable_direct=false\nsortable_structural=false\n" in out
+    assert out.endswith(f"structural_failure={reason}\n")
 
 
 def test_check_exits_two_when_predicates_disagree(monkeypatch, capsys):
