@@ -213,9 +213,9 @@ def _scan(args: tuple[int, tuple[int, ...]]) -> tuple[int, list[PartitionDiagram
     return total, sortable
 
 
-# The pruned census starts worker processes only above this many candidates:
-# two workers took about 17 ms to start on a 2-core x86 machine, more than they
-# save at order 5 (541 candidates), far less than at order 6 (4683).
+# Both census paths start worker processes only above this many diagrams to
+# sort: two workers took about 17 ms to start on a 2-core x86 machine, more than
+# they save at order 5 (541 candidates), far less than at order 6 (4683).
 POOL_MIN_CANDIDATES = 2000
 
 
@@ -232,9 +232,9 @@ def _worker_count(jobs: int, chunks: int) -> int:
     return max(1, min(jobs, chunks, os.cpu_count() or 1))
 
 
-def _map_chunks(fn: Callable, chunks: list, jobs: int) -> list:
-    """``fn`` over the chunks, in order, in up to ``jobs`` worker processes."""
-    workers = _worker_count(jobs, len(chunks))
+def _map_chunks(fn: Callable, chunks: list, jobs: int, diagrams: int) -> list:
+    """``fn`` over the chunks, in order, in up to ``jobs`` processes above ``POOL_MIN_CANDIDATES`` diagrams."""
+    workers = _worker_count(jobs, len(chunks)) if diagrams > POOL_MIN_CANDIDATES else 1
     if workers == 1:
         return [fn(chunk) for chunk in chunks]
     from concurrent.futures import ProcessPoolExecutor  # 2.5 MB: import on first use
@@ -252,20 +252,19 @@ def census_stretch_sortable(n: int, *, check: bool = False, jobs: int = 1) -> Ce
     enumerated are not Bell(2n), if a sortable diagram is not a candidate,
     or if the counts differ.  ``jobs`` > 1 splits the work by bottom
     composition (``check``: by restricted growth prefix) across processes,
-    the census only above ``POOL_MIN_CANDIDATES`` candidates; the counts
-    are identical regardless of worker count.
+    each path only above ``POOL_MIN_CANDIDATES`` diagrams to sort; the
+    counts are identical regardless of worker count.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     start = time.perf_counter()
     total = _bell(2 * n)
-    pruned_jobs = jobs if jobs > 1 and _fubini(n) > POOL_MIN_CANDIDATES else 1
-    counts = _map_chunks(_count_sortable, [(n, sizes) for sizes in _compositions(n)], pruned_jobs)
+    counts = _map_chunks(_count_sortable, [(n, sizes) for sizes in _compositions(n)], jobs, _fubini(n))
     candidates = sum(c for c, _ in counts)
     sortable = sum(s for _, s in counts)
     if check:
         prefixes = _rgs_strings(min(2 * n, 6))  # Bell(6) = 203 chunks
-        scans = _map_chunks(_scan, [(n, p) for p in prefixes], jobs)
+        scans = _map_chunks(_scan, [(n, p) for p in prefixes], jobs, total)
         candidates = sum(t for t, _ in scans)  # the oracle sorts every diagram
         if candidates != total:
             raise VerificationError(f"enumerated {candidates} diagrams of order {n}, not Bell(2n) = {total}")

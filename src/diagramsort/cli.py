@@ -18,7 +18,6 @@ from .analysis import (
     census_stretch_sortable,
     count_t_stack_sortable,
     is_sss_direct,
-    is_sss_theorem,
 )
 from .core import compose, format_diagram, parse_diagram, to_dot
 from .sorting import TraceEvent, sort_diagram, sort_diagram_traced
@@ -108,12 +107,13 @@ def _cmd_stretch(args: argparse.Namespace) -> int:
 def _cmd_check(args: argparse.Namespace) -> int:
     diagram = parse_diagram(args.diagram, args.order)
     direct = is_sss_direct(diagram)
-    structural = is_sss_theorem(diagram)
+    failure = _structural_failure(diagram)
+    structural = failure is None
     print(f"propagating_blocks={diagram.propagation_number()}")
     print(f"stretch_of_identity={str(is_stretch_of_identity(diagram)).lower()}")
     print(f"sortable_direct={str(direct).lower()}")
     print(f"sortable_structural={str(structural).lower()}")
-    print(f"structural_failure={_structural_failure(diagram) or 'none'}")
+    print(f"structural_failure={failure or 'none'}")
     if direct != structural:
         raise VerificationError(f"predicates disagree on {format_diagram(diagram)}")
     return 0

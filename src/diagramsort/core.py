@@ -94,7 +94,9 @@ class PartitionDiagram:
     ``blocks`` is a tuple of (top_mask, bottom_mask) pairs in canonical
     order.  Construct diagrams through :func:`canonicalize`,
     :func:`parse_diagram`, or the generators in this module rather than
-    assembling masks by hand.
+    assembling masks by hand.  The constructor is the one validator: it
+    raises ``ValueError`` on an empty block, a node index out of range,
+    overlapping blocks, or nodes left uncovered.
     """
 
     __slots__ = ("order", "blocks", "_hash")
@@ -158,7 +160,8 @@ def canonicalize(raw_blocks: Iterable[Iterable[int]], order: int) -> PartitionDi
     """Build the canonical diagram from blocks of signed nodes.
 
     Nodes not mentioned by any block become singletons.  Raises
-    ``ValueError`` if a node repeats, is zero, or lies outside 1..order.
+    ``ValueError`` if a node repeats, is zero, or lies outside 1..order,
+    or if a block is empty.
 
     >>> canonicalize([{2, -1}, {1, 2}], 2)
     Traceback (most recent call last):
@@ -168,7 +171,6 @@ def canonicalize(raw_blocks: Iterable[Iterable[int]], order: int) -> PartitionDi
     blocks = []
     for raw in raw_blocks:
         t = b = 0
-        count = 0
         for node in raw:
             if node == 0:
                 raise ValueError("node 0 is not valid; nodes are +i (top) or -i (bottom)")
@@ -184,9 +186,6 @@ def canonicalize(raw_blocks: Iterable[Iterable[int]], order: int) -> PartitionDi
                 if b & bit:
                     raise ValueError(f"duplicate node {i}' in block")
                 b |= bit
-            count += 1
-        if count == 0:
-            raise ValueError("empty block")
         blocks.append((t, b))
     return PartitionDiagram(order, _pad_blocks(blocks, order))
 

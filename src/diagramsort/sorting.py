@@ -131,7 +131,7 @@ def _group_middle(blocks: list[tuple[int, int]], order: int) -> list[list[tuple[
         lo = (b & -b).bit_length() if b else order + (t & -t).bit_length()
         hi = order + t.bit_length() if t else b.bit_length()
         items.append((lo, hi, blk))
-    items.sort(key=lambda x: (x[0], x[1]))
+    items.sort(key=lambda x: x[0])  # disjoint blocks: least nodes never tie
     groups: list[list[tuple[int, int]]] = []
     reach = -1
     for lo, hi, blk in items:
@@ -176,52 +176,49 @@ def _split(blocks: list[Block], order: int) -> Split | None:
 
 
 def _expand(diagram: PartitionDiagram, steps: list[Split] | None = None) -> list[Block]:
-    """Run the split recursion depth first; return the blocks in assembly order.
+    """Run the split recursion depth first; return the non-singleton blocks in walk order.
 
     Factors come out as left, middle groups, right, then the chosen block;
-    a factor without a propagating block is a leaf.  The result lists the
-    chosen blocks in factor order, then the leaves' top-only blocks (each
-    leaf's by least top node, an order every split keeps), then the
-    bottom-only blocks.  Empty pieces are skipped.  Splits are appended to
-    ``steps`` when given.
+    a factor without a propagating block is a leaf.  The result lists each
+    chosen block as it pops and each leaf's blocks as they stand (top-only
+    blocks by least top node, an order every split keeps).  Empty pieces
+    are skipped.  Splits are appended to ``steps`` when given.
     """
-    props: list[Block] = []
-    tops: list[Block] = []
-    bottoms: list[Block] = []
+    out: list[Block] = []
     order = diagram.order
     work: list[list[Block] | Block] = [_non_singletons(diagram)]
     while work:
         item = work.pop()
         if isinstance(item, tuple):  # a chosen block, never split again
-            props.append(item)
+            out.append(item)
             continue
         split = _split(item, order)
         if split is None:
-            for blk in item:
-                (tops if blk[0] else bottoms).append(blk)
+            out += item
             continue
         if steps is not None:
             steps.append(split)
         chosen, left, groups, right = split
         work += [p for p in (chosen, right, *reversed(groups), left) if p]  # left pops first
-    return props + tops + bottoms
+    return out
 
 
 def _assemble(order: int, blocks: list[Block]) -> PartitionDiagram:
-    """Fresh consecutive top labels for each block with top nodes, in list order; bottoms stay."""
+    """Fresh consecutive top labels in list order, propagating blocks first; bottoms stay.
+
+    Top-only blocks continue the count past the propagating blocks.  Overlapping
+    bottoms and labels past the order are left to the constructor to reject.
+    """
     out: list[Block] = []
-    seen_bottom = 0
-    next_top = 0  # 0-based bit position of the next fresh top label
+    # 0-based bit positions of the next fresh labels; top-only ones start past the propagating.
+    prop, top = 0, sum(t.bit_count() for t, b in blocks if b)
     for t, b in blocks:
-        if b & seen_bottom:
-            raise ValueError("bottom-label collision between factors")
-        seen_bottom |= b
         if t:
             width = t.bit_count()
-            if next_top + width > order:
-                raise ValueError("factors consume more top labels than the order allows")
-            t = ((1 << width) - 1) << next_top
-            next_top += width
+            if b:
+                t, prop = ((1 << width) - 1) << prop, prop + width
+            else:
+                t, top = ((1 << width) - 1) << top, top + width
         out.append((t, b))
     return PartitionDiagram(order, _pad_blocks(out, order))
 
@@ -248,12 +245,13 @@ def odot_assemble(factors: Iterable[PartitionDiagram], order: int) -> PartitionD
     """Relabeling product of factor diagrams.
 
     Each factor must either be non-propagating or consist of one
-    propagating block plus singletons.  Top nodes of the propagating
-    blocks receive consecutive labels starting from 1 in factor order,
-    then the non-propagating top-row blocks of size > 1 continue the
-    count in factor order (leftmost block first within a factor).  Bottom
-    nodes keep their labels, so the factors' non-singleton bottom sets
-    must be pairwise disjoint.  Unused top labels become singletons.
+    propagating block plus singletons.  The factors' non-singleton blocks,
+    in factor order (leftmost block first within a factor), are relabeled
+    by the sort's rule (:func:`_assemble`): propagating blocks take
+    consecutive top labels from 1, then top-only blocks continue the
+    count.  Bottom nodes keep their labels, so the factors' non-singleton
+    bottom sets must be pairwise disjoint.  Unused top labels become
+    singletons.
     """
     fs = list(factors)
     for f in fs:
@@ -263,11 +261,7 @@ def odot_assemble(factors: Iterable[PartitionDiagram], order: int) -> PartitionD
         if p > 1 or (p == 1 and any(not _is_singleton(b) for b in f.blocks if not (b[0] and b[1]))):
             raise ValueError("factor must be non-propagating or one propagating block plus singletons")
     # canonical block order already lists top-row blocks by least top node
-    blocks = [blk for f in fs for blk in _non_singletons(f)]
-    props = [blk for blk in blocks if blk[0] and blk[1]]
-    tops = [blk for blk in blocks if not blk[1]]
-    bottoms = [blk for blk in blocks if not blk[0]]
-    return _assemble(order, props + tops + bottoms)
+    return _assemble(order, [blk for f in fs for blk in _non_singletons(f)])
 
 
 def _event(split: Split) -> TraceEvent:

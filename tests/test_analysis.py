@@ -305,7 +305,9 @@ def test_census_pool_only_above_threshold(monkeypatch):
     assert started == []
     census_stretch_sortable(6, jobs=2)
     assert started == [2]
-    census_stretch_sortable(3, check=True, jobs=2)  # the oracle path always may
+    census_stretch_sortable(3, check=True, jobs=2)  # the oracle sorts Bell(6) = 203
+    assert started == [2]
+    census_stretch_sortable(4, check=True, jobs=2)  # and Bell(8) = 4140
     assert started == [2, 2]
 
 

@@ -97,7 +97,7 @@ def test_check_names_structural_failure(capsys, order, text, reason):
 
 
 def test_check_exits_two_when_predicates_disagree(monkeypatch, capsys):
-    monkeypatch.setattr(cli_module, "is_sss_theorem", lambda d: True)
+    monkeypatch.setattr(cli_module, "_structural_failure", lambda d: None)
     assert run(["check", "--order", "2", "{1,2|1',2'}"]) == 2
     assert capsys.readouterr().err.startswith("verification failure: predicates disagree")
 

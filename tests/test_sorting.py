@@ -150,7 +150,7 @@ def test_assemble_bottom_only_factor():
 
 def test_assemble_rejects_bottom_collision():
     b = canonicalize([{1, -1}], 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="blocks overlap"):
         odot_assemble([b, b], 2)
 
 
@@ -164,7 +164,7 @@ def test_assemble_rejects_multi_propagating_factor():
 def test_assemble_rejects_top_overflow():
     f1 = canonicalize([{1, 2, -1}], 2)
     f2 = canonicalize([{1, 2, -2}], 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="out of range"):
         odot_assemble([f1, f2], 2)
 
 
