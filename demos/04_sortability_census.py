@@ -25,8 +25,9 @@ for d in (good, bad):
     assert is_sss_direct(d) == is_sss_theorem(d)
 
 # The census counts sortable diagrams among all Bell(2n) of each order,
-# but only sorts the structural candidates, Fubini(n) of them.  check=True
-# also sorts every diagram as a brute-force oracle.  The sortable counts
+# but only looks at the structural candidates, Fubini(n) of them, and
+# counts those on bit masks without sorting.  check=True also sorts every
+# diagram as a brute-force oracle.  The sortable counts
 # below (1, 1, 3, 12, 56, ...) are computed, not from paper.
 print("n\ttotal\tcandidates\tsortable")
 for n in range(7):

@@ -11,9 +11,9 @@ A stretched identity has equal top and bottom sets in every block, and
 the sort keeps each block's sizes, never moves a bottom label and gives
 each propagating block consecutive top labels, so only diagrams of the
 right block shapes can be sortable.  The census
-sorts just these structural candidates, Fubini(n) of the Bell(2n)
-diagrams; its ``check`` mode sorts all Bell(2n) as the oracle.  The counts
-are computed here, not quoted from any published table.
+counts just these structural candidates, Fubini(n) of the Bell(2n)
+diagrams, on masks; its ``check`` mode sorts all Bell(2n) as the oracle.
+The counts are computed here, not quoted from any published table.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from math import comb
 from typing import Callable, Iterator, Sequence
 
 from .core import PartitionDiagram, _permutation, _rgs_strings, enumerate_diagrams, format_diagram
-from .sorting import _split, sort_diagram, sort_word
+from .sorting import Block, _split, sort_diagram, sort_word
 from .stretch import is_stretch_of_identity
 
 __all__ = [
@@ -88,6 +88,24 @@ def _is_interval(mask: int) -> bool:
     return shifted & (shifted + 1) == 0
 
 
+def _first_broken_step(work: list[list[Block]], order: int) -> int:
+    """Split propagating pieces depth first; the first step whose factor order breaks, or 0."""
+    step = 0
+    while work:  # all blocks propagate: nonempty pieces split
+        step += 1
+        _, left, groups, right = _split(work.pop(), order)
+        # Bottoms are disjoint intervals: as integers they order like their least nodes.
+        reach = 0
+        for piece in (left, *groups, right):
+            if piece:
+                bottoms = [b for _, b in piece]
+                if min(bottoms) < reach:
+                    return step
+                reach = max(bottoms)
+        work += [p for p in (right, *reversed(groups), left) if p]
+    return 0
+
+
 def _structural_failure(diagram: PartitionDiagram) -> str | None:
     """The first structural condition broken, or None; step k is line k of ``sort --trace``."""
     for t, b in diagram.blocks:
@@ -97,21 +115,8 @@ def _structural_failure(diagram: PartitionDiagram) -> str | None:
             return "unequal top and bottom sizes"
         if not _is_interval(b):
             return "non-interval bottom"
-    work = [list(diagram.blocks)] if diagram.blocks else []
-    step = 0
-    while work:  # all blocks propagate: nonempty pieces split
-        step += 1
-        _, left, groups, right = _split(work.pop(), diagram.order)
-        # Bottoms are disjoint intervals: as integers they order like their least nodes.
-        reach = 0
-        for piece in (left, *groups, right):
-            if piece:
-                bottoms = [b for _, b in piece]
-                if min(bottoms) < reach:
-                    return f"split step {step}: factor order broken"
-                reach = max(bottoms)
-        work += [p for p in (right, *reversed(groups), left) if p]
-    return None
+    step = _first_broken_step([list(diagram.blocks)] if diagram.blocks else [], diagram.order)
+    return f"split step {step}: factor order broken" if step else None
 
 
 def is_sss_theorem(diagram: PartitionDiagram) -> bool:
@@ -130,7 +135,8 @@ def is_sss_theorem(diagram: PartitionDiagram) -> bool:
 class CensusRow:
     """One census result: all diagrams of the order versus sortable ones.
 
-    ``candidates`` counts the diagrams sorted: all ``total`` under ``check``.
+    ``candidates``: structural candidates accounted for, Fubini(n); all
+    ``total`` under ``check``.
     """
 
     n: int
@@ -162,37 +168,72 @@ def _compositions(n: int) -> Iterator[tuple[int, ...]]:
             yield (first, *rest)
 
 
-def _candidates(order: int, sizes: tuple[int, ...]) -> Iterator[list[tuple[int, int]]]:
+def _subsets(mask: int, size: int) -> list[int]:
+    """Every submask of ``mask`` with ``size`` bits."""
+    bits = []
+    while mask:
+        bits.append(mask & -mask)
+        mask ^= bits[-1]
+    return [sum(c) for c in combinations(bits, size)]
+
+
+def _candidates(order: int, sizes: tuple[int, ...]) -> Iterator[list[Block]]:
     """Every structural candidate with bottom intervals of these sizes, left to right.
 
     Each block takes a top set of its bottom's size from the nodes left free.
     """
-    bottoms = []
-    lo = 0
-    for size in sizes:
-        bottoms.append(((1 << size) - 1) << lo)
-        lo += size
+    bottoms = [((1 << size) - 1) << sum(sizes[:j]) for j, size in enumerate(sizes)]
 
-    def assign(j: int, free: tuple[int, ...]) -> Iterator[list[tuple[int, int]]]:
+    def assign(j: int, free: int) -> Iterator[list[Block]]:
         if j == len(sizes):
             yield []
             return
-        for chosen in combinations(free, sizes[j]):
-            top = sum(1 << i for i in chosen)
-            rest = tuple(i for i in free if not top >> i & 1)
-            for tail in assign(j + 1, rest):
+        for top in _subsets(free, sizes[j]):
+            for tail in assign(j + 1, free ^ top):
                 yield [(top, bottoms[j]), *tail]
 
-    return assign(0, tuple(range(order)))
+    return assign(0, (1 << order) - 1)
 
 
 def _count_sortable(args: tuple[int, tuple[int, ...]]) -> tuple[int, int]:
-    """(candidates, sortable) for one bottom composition."""
+    """(candidates, sortable) for one bottom composition, counted on masks.
+
+    The first split chooses C, the block on the last bottom interval.  The
+    other blocks take tops in bottom order, classed L, M or R as in
+    :func:`_split`; a class below the last breaks the first step, so the
+    branch stops and its completions are counted.  Survivors' pieces walk
+    on; all blocks propagate, so M is one group.
+    """
     order, sizes = args
+    if not sizes:
+        return 1, 1  # the empty diagram is the identity of order 0
+    *sizes, last = sizes
+    bottoms = [((1 << size) - 1) << sum(sizes[:j]) for j, size in enumerate(sizes)]
+    completions = [1]  # [j]: ways for blocks j.. to take tops from the nodes they leave free
+    for j in reversed(range(len(sizes))):
+        completions.insert(0, completions[0] * comb(sum(sizes[j:]), sizes[j]))
+    pieces = ([], [], [])  # L, M, R
     candidates = sortable = 0
-    for blocks in _candidates(order, sizes):
-        candidates += 1
-        sortable += is_sss_direct(PartitionDiagram(order, blocks))
+
+    def assign(j: int, free: int, floor: int) -> None:
+        nonlocal candidates, sortable
+        if j == len(sizes):
+            candidates += 1
+            sortable += not _first_broken_step([p for p in pieces if p], order)
+            return
+        for top in _subsets(free, sizes[j]):
+            cls = 0 if top < first else 2 if not top & upto else 1
+            if cls < floor:
+                candidates += completions[j + 1]
+                continue
+            pieces[cls].append((top, bottoms[j]))
+            assign(j + 1, free ^ top, cls)
+            pieces[cls].pop()
+
+    everything = (1 << order) - 1
+    for chosen in _subsets(everything, last):  # assign classes against this C's first and upto
+        first, upto = chosen & -chosen, (1 << chosen.bit_length()) - 1
+        assign(0, everything ^ chosen, 0)
     return candidates, sortable
 
 
@@ -213,10 +254,10 @@ def _scan(args: tuple[int, tuple[int, ...]]) -> tuple[int, list[PartitionDiagram
     return total, sortable
 
 
-# Both census paths start worker processes only above this many diagrams to
-# sort: two workers took about 17 ms to start on a 2-core x86 machine, more than
-# they save at order 5 (541 candidates), far less than at order 6 (4683).
-POOL_MIN_CANDIDATES = 2000
+# Both census paths start worker processes only above this many diagrams: with
+# 2 x86 cores two workers broke even on census order 7 (47293 candidates) and
+# lost on oracle order 4 (4140), but saved 40% at 8 (545835) and 5 (115975).
+POOL_MIN_CANDIDATES = 50000
 
 
 def _fubini(n: int) -> int:
@@ -246,39 +287,35 @@ def _map_chunks(fn: Callable, chunks: list, jobs: int, diagrams: int) -> list:
 def census_stretch_sortable(n: int, *, check: bool = False, jobs: int = 1) -> CensusRow:
     """Count stretch-stack-sortable diagrams among all diagrams of order n.
 
-    Only the structural candidates are sorted.  With ``check`` set, every
-    diagram is also sorted and both predicates compared on it;
-    :class:`VerificationError` is raised if they disagree, if the diagrams
-    enumerated are not Bell(2n), if a sortable diagram is not a candidate,
-    or if the counts differ.  ``jobs`` > 1 splits the work by bottom
-    composition (``check``: by restricted growth prefix) across processes,
-    each path only above ``POOL_MIN_CANDIDATES`` diagrams to sort; the
-    counts are identical regardless of worker count.
+    Only the structural candidates are counted, on masks, without sorting.
+    With ``check`` set, every diagram is also sorted and both predicates
+    compared on it; :class:`VerificationError` is raised if they disagree,
+    if the diagrams enumerated are not Bell(2n), if a sortable diagram is
+    not a candidate, or if either count differs.  ``jobs`` > 1 splits the
+    work by bottom composition (``check``: by restricted growth prefix)
+    across processes, each path only above ``POOL_MIN_CANDIDATES``
+    diagrams; the counts are identical regardless of worker count.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     start = time.perf_counter()
     total = _bell(2 * n)
     counts = _map_chunks(_count_sortable, [(n, sizes) for sizes in _compositions(n)], jobs, _fubini(n))
-    candidates = sum(c for c, _ in counts)
-    sortable = sum(s for _, s in counts)
+    candidates, sortable = map(sum, zip(*counts))
     if check:
+        structural = {PartitionDiagram(n, b) for sizes in _compositions(n) for b in _candidates(n, sizes)}
         prefixes = _rgs_strings(min(2 * n, 6))  # Bell(6) = 203 chunks
         scans = _map_chunks(_scan, [(n, p) for p in prefixes], jobs, total)
-        candidates = sum(t for t, _ in scans)  # the oracle sorts every diagram
-        if candidates != total:
-            raise VerificationError(f"enumerated {candidates} diagrams of order {n}, not Bell(2n) = {total}")
-        structural = {
-            PartitionDiagram(n, blocks) for sizes in _compositions(n) for blocks in _candidates(n, sizes)
-        }
         found = [d for _, ds in scans for d in ds]
-        for d in found:
-            if d not in structural:
-                raise VerificationError(f"sortable diagram {format_diagram(d)} is not a structural candidate")
-        if len(found) != sortable:
-            raise VerificationError(
-                f"exhaustive scan finds {len(found)} sortable diagrams of order {n}, the candidates {sortable}"
-            )
+        for what, got, want in (
+            ("diagrams, Bell(2n)", sum(t for t, _ in scans), total),
+            ("candidates counted, enumerated", candidates, len(structural)),
+            ("sortable counted, scanned", sortable, len(found)),
+            ("sortable non-candidates", [format_diagram(d) for d in found if d not in structural], []),
+        ):
+            if got != want:
+                raise VerificationError(f"order {n} {what}: {got} != {want}")
+        candidates = total  # the oracle sorts every diagram
     elapsed = time.perf_counter() - start
     return CensusRow(n=n, total=total, sortable=sortable, elapsed=elapsed, candidates=candidates)
 

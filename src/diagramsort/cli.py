@@ -202,8 +202,7 @@ def _build_parser() -> _Parser:
     p.add_argument(
         "--check",
         action="store_true",
-        help="the census sorts only the structural candidates; also run the Bell(2n) brute-force "
-        "oracle, comparing both predicates on every diagram and its count with the census",
+        help="also sort all Bell(2n) diagrams, checking both predicates on each and the counts",
     )
     p.add_argument("--jobs", type=int, default=1, help="worker processes")
     p.add_argument("--json", action="store_true", help="one JSON object per row instead of TSV")
@@ -216,7 +215,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("verify", help="run the whole invariant suite")
     p.add_argument(
-        "--deep", action="store_true", help="extend the predicate sweep through order 5, the census through 6"
+        "--deep", action="store_true", help="predicate sweep to order 5, counter gate to 6, census to 7"
     )
     p.add_argument("--seed", type=int, default=2024, help="seed for the sampled properties")
     p.set_defaults(handler=_cmd_verify)

@@ -32,6 +32,9 @@ from .sorting import sort_diagram, sort_word
 from .stretch import SetComposition, is_stretch_of_identity, stretch_map
 from .analysis import (
     _bell,
+    _candidates,
+    _compositions,
+    _count_sortable,
     census_stretch_sortable,
     contains_231,
     count_t_stack_sortable,
@@ -44,9 +47,10 @@ __all__ = ["CheckResult", "run_checks", "SORTABLE_COUNTS", "SORTABLE_COUNTS_DEEP
 
 # Stretch-stack-sortable counts per order: regression constants computed
 # by this package's census and cross-checked by its exhaustive Bell(2n)
-# scan (census --check), not from paper.
+# scan (census --check), at order 7 by the direct sort of every candidate;
+# not from paper.
 SORTABLE_COUNTS = {0: 1, 1: 1, 2: 3, 3: 12, 4: 56, 5: 297}
-SORTABLE_COUNTS_DEEP = {6: 1753}
+SORTABLE_COUNTS_DEEP = {6: 1753, 7: 11360}
 
 
 @dataclass(frozen=True)
@@ -169,6 +173,18 @@ def _check_predicates_agree(deep: bool) -> str:
     top = 5 if deep else 4
     total = sum(census_stretch_sortable(n, check=True).candidates for n in range(top + 1))
     return f"{total} diagrams, n <= {top}"
+
+
+def _check_census_counter(deep: bool) -> str:
+    """The census counter against the direct sort of every candidate, per bottom composition."""
+    got = {}
+    for n in range(7 if deep else 6):
+        for sizes in _compositions(n):
+            direct = [is_sss_direct(PartitionDiagram(n, b)) for b in _candidates(n, sizes)]
+            got[sizes] = _count_sortable((n, sizes))
+            _require(got[sizes] == (len(direct), sum(direct)), f"counter wrong on bottom sizes {sizes}")
+    _require((got[1, 1, 2, 1][1], got[1, 2, 1, 1][1]) == (29, 28), "(1,1,2,1), (1,2,1,1) must give 29, 28")
+    return f"{len(got)} bottom compositions, n <= {n}"
 
 
 def _check_identity_laws() -> str:
@@ -336,7 +352,7 @@ def _check_census_regression(deep: bool) -> str:
 
 
 def run_checks(deep: bool = False, seed: int = 2024) -> list[CheckResult]:
-    """Run the whole suite; ``deep`` extends the predicate sweep to order 5, the census to 6."""
+    """Run the whole suite; ``deep`` takes the predicate sweep to order 5, the counter to 6, the census to 7."""
     rng = random.Random(seed)
     suite: list[tuple[str, Callable[[], str]]] = [
         ("golden-examples", _check_golden_examples),
@@ -345,6 +361,7 @@ def run_checks(deep: bool = False, seed: int = 2024) -> list[CheckResult]:
         ("knuth-catalan", _check_knuth_catalan),
         ("two-stack-counts", _check_two_stack_counts),
         ("predicates-agree", lambda: _check_predicates_agree(deep)),
+        ("census-counter", lambda: _check_census_counter(deep)),
         ("compose-identity-laws", _check_identity_laws),
         ("compose-associativity", lambda: _check_associativity(rng)),
         ("sort-structure", _check_sort_structure),

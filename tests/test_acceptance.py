@@ -86,7 +86,7 @@ def test_criterion_6_invariant_suite():
         # Unit tests rely on these checks for their exhaustive sweeps; none may go missing.
         assert [r.name for r in results] == [
             "golden-examples", "word-sort-oracle", "lift-of-word-sort", "knuth-catalan",
-            "two-stack-counts", "predicates-agree", "compose-identity-laws",
+            "two-stack-counts", "predicates-agree", "census-counter", "compose-identity-laws",
             "compose-associativity", "sort-structure", "embedding", "enumeration-counts",
             "stretch-round-trip", "stretch-characterization", "t-sortable-monotone",
             "restriction-to-permutations", "parser-round-trip", "census-regression",

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import concurrent.futures
+import os
 import random
 from itertools import combinations, permutations
 from math import comb, factorial
@@ -31,6 +32,8 @@ from diagramsort.core import (
 from diagramsort.sorting import sort_diagram_traced
 from diagramsort.verification import (
     SORTABLE_COUNTS,
+    SORTABLE_COUNTS_DEEP,
+    _check_census_counter,
     _check_knuth_catalan,
     _check_monotone,
     _check_predicates_agree,
@@ -207,7 +210,27 @@ def test_census_pinned_counts():
         assert pruned.candidates == FUBINI[n]
 
 
-def test_census_parallel_matches_serial():
+def test_census_counter_matches_direct_sort_per_composition():
+    assert _check_census_counter(deep=False) == "32 bottom compositions, n <= 5"
+
+
+@pytest.mark.skipif(os.environ.get("DIAGRAMSORT_DEEP") != "1", reason="set DIAGRAMSORT_DEEP=1 for order 6")
+def test_census_counter_matches_direct_sort_per_composition_deep():
+    assert _check_census_counter(deep=True) == "64 bottom compositions, n <= 6"
+
+
+def test_census_builds_no_diagram(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the census built a diagram")
+
+    monkeypatch.setattr(PartitionDiagram, "__init__", refuse)
+    monkeypatch.setattr(analysis_module, "sort_diagram", refuse)
+    for n in range(7):
+        assert census_stretch_sortable(n).sortable == {**SORTABLE_COUNTS, **SORTABLE_COUNTS_DEEP}[n]
+
+
+def test_census_parallel_matches_serial(monkeypatch):
+    monkeypatch.setattr(analysis_module, "POOL_MIN_CANDIDATES", 0)  # start real workers at every order
     for n, check in ((3, False), (3, True), (5, False), (6, False)):
         serial = census_stretch_sortable(n, check=check)
         parallel = census_stretch_sortable(n, check=check, jobs=2)
@@ -280,6 +303,31 @@ def test_census_check_catches_a_missing_diagram(monkeypatch, name, patch):
         census_stretch_sortable(3, check=True)
 
 
+def _drop_one_survivor(real):
+    def count(args):
+        candidates, sortable = real(args)
+        return candidates, sortable - (args == (3, (1, 1, 1)))
+
+    return count
+
+
+def _miscredit_a_pruned_branch(real):
+    def count(args):
+        candidates, sortable = real(args)
+        return candidates + (args == (3, (1, 1, 1))), sortable
+
+    return count
+
+
+@pytest.mark.parametrize("patch", [_drop_one_survivor, _miscredit_a_pruned_branch])
+def test_census_check_catches_a_miscounting_counter(monkeypatch, patch):
+    monkeypatch.setattr(analysis_module, "_count_sortable", patch(analysis_module._count_sortable))
+    row = census_stretch_sortable(3)  # the census alone does not notice
+    assert (row.candidates, row.sortable) != (FUBINI[3], SORTABLE_COUNTS[3])
+    with pytest.raises(VerificationError):
+        census_stretch_sortable(3, check=True)
+
+
 def test_census_pool_only_above_threshold(monkeypatch):
     started = []
 
@@ -298,17 +346,20 @@ def test_census_pool_only_above_threshold(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(analysis_module.os, "cpu_count", lambda: 2)
-    assert [analysis_module._fubini(n) for n in range(7)] == FUBINI
-    assert FUBINI[5] <= analysis_module.POOL_MIN_CANDIDATES < FUBINI[6]
-    for n in (3, 5):
+    assert [analysis_module._fubini(n) for n in range(9)] == [*FUBINI, 47293, 545835]
+    # The census pools from order 8, the Bell(2n) oracle from order 5.
+    assert 47293 <= analysis_module.POOL_MIN_CANDIDATES < 545835
+    assert analysis_module._bell(8) <= analysis_module.POOL_MIN_CANDIDATES < analysis_module._bell(10)
+    for n in (3, 6):
         census_stretch_sortable(n, jobs=2)
+    census_stretch_sortable(4, check=True, jobs=2)  # the oracle sorts Bell(8) = 4140
     assert started == []
-    census_stretch_sortable(6, jobs=2)
+    # Orders 7 and 8 counted as zeros: only whether a pool starts matters here.
+    monkeypatch.setattr(analysis_module, "_count_sortable", lambda args: (0, 0))
+    census_stretch_sortable(7, jobs=2)
+    assert started == []
+    census_stretch_sortable(8, jobs=2)
     assert started == [2]
-    census_stretch_sortable(3, check=True, jobs=2)  # the oracle sorts Bell(6) = 203
-    assert started == [2]
-    census_stretch_sortable(4, check=True, jobs=2)  # and Bell(8) = 4140
-    assert started == [2, 2]
 
 
 def test_worker_count_is_clamped(monkeypatch):
