@@ -14,14 +14,15 @@ and the parser accepts "-4" as a synonym for "4'".
 
 Internally a block is a pair of bit masks (top_mask, bottom_mask), bit i-1
 set when index i belongs to the block.  Python integers put no cap on the
-order, and the kernels work on masks rather than node lists.
+order.  The kernels, the text parser included, work on masks, not node
+lists; the constructor checks validity by OR and sum.
 Blocks are kept in a canonical order (sorted by least node, all top nodes
 before all bottom nodes), so equal diagrams compare and hash equal.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 __all__ = [
     "PartitionDiagram",
@@ -54,19 +55,14 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _min_bit(mask: int) -> int:
-    return (mask & -mask).bit_length()
-
-
 def _signed(block: tuple[int, int]) -> frozenset[int]:
     t, b = block
     return frozenset(_bits(t)) | frozenset(-i for i in _bits(b))
 
 
-def _block_key(block: tuple[int, int]) -> tuple[int, int]:
+def _block_key(order: int) -> Callable[[tuple[int, int]], int]:
     # Canonical node order is top 1 < ... < top n < bottom 1 < ... < bottom n.
-    t, b = block
-    return (0, _min_bit(t)) if t else (1, _min_bit(b))
+    return lambda blk: blk[0] & -blk[0] or (blk[1] & -blk[1]) << order
 
 
 def _pad_blocks(blocks: Iterable[tuple[int, int]], order: int) -> list[tuple[int, int]]:
@@ -77,10 +73,16 @@ def _pad_blocks(blocks: Iterable[tuple[int, int]], order: int) -> list[tuple[int
         seen_t |= t
         seen_b |= b
     full = (1 << order) - 1
-    for i in _bits(full & ~seen_t):
-        out.append((1 << (i - 1), 0))
-    for i in _bits(full & ~seen_b):
-        out.append((0, 1 << (i - 1)))
+    free = full & ~seen_t
+    while free:
+        low = free & -free
+        out.append((low, 0))
+        free ^= low
+    free = full & ~seen_b
+    while free:
+        low = free & -free
+        out.append((0, low))
+        free ^= low
     return out
 
 
@@ -96,7 +98,8 @@ class PartitionDiagram:
     :func:`parse_diagram`, or the generators in this module rather than
     assembling masks by hand.  The constructor is the one validator: it
     raises ``ValueError`` on an empty block, a node index out of range,
-    overlapping blocks, or nodes left uncovered.
+    overlapping blocks, or nodes left uncovered.  A row passes when its
+    masks both OR and sum to the full row: only disjoint masks in range do.
     """
 
     __slots__ = ("order", "blocks", "_hash")
@@ -105,18 +108,24 @@ class PartitionDiagram:
         if order < 0:
             raise ValueError("order must be nonnegative")
         full = (1 << order) - 1
-        blist = sorted(blocks, key=_block_key)
-        seen_t = seen_b = 0
+        blist = sorted(blocks, key=_block_key(order))
+        seen_t = seen_b = sum_t = sum_b = 0
         for t, b in blist:
-            if t == 0 and b == 0:
-                raise ValueError("empty block")
-            if t & ~full or b & ~full:
-                raise ValueError(f"node index out of range 1..{order}")
-            if t & seen_t or b & seen_b:
-                raise ValueError("blocks overlap")
             seen_t |= t
             seen_b |= b
-        if seen_t != full or seen_b != full:
+            sum_t += t
+            sum_b += b
+        if (0, 0) in blist or not seen_t == full == sum_t or not seen_b == full == sum_b:
+            seen_t = seen_b = 0
+            for t, b in blist:
+                if t == 0 and b == 0:
+                    raise ValueError("empty block")
+                if t & ~full or b & ~full:
+                    raise ValueError(f"node index out of range 1..{order}")
+                if t & seen_t or b & seen_b:
+                    raise ValueError("blocks overlap")
+                seen_t |= t
+                seen_b |= b
             raise ValueError("blocks do not cover all 2n nodes")
         canonical = tuple(blist)
         _set(self, "order", order)
@@ -192,8 +201,7 @@ def canonicalize(raw_blocks: Iterable[Iterable[int]], order: int) -> PartitionDi
 
 def identity_diagram(order: int) -> PartitionDiagram:
     """The diagram with blocks {i, i'} for every i."""
-    bit = [1 << i for i in range(order)]
-    return PartitionDiagram(order, [(m, m) for m in bit])
+    return PartitionDiagram(order, [(1 << i, 1 << i) for i in range(order)])
 
 
 def _permutation(word: Iterable[int]) -> tuple[int, ...]:
@@ -228,8 +236,10 @@ def compose(d1: PartitionDiagram, d2: PartitionDiagram) -> tuple[PartitionDiagra
     parent = list(range(len(tops)))
     owner = [0] * d1.order  # middle position -> the d2 block holding it
     for j, t in enumerate(tops):
-        for i in _bits(t):
-            owner[i - 1] = j
+        while t:
+            low = t & -t
+            owner[low.bit_length() - 1] = j
+            t ^= low
     blocks = []
     for t, b in d1.blocks:
         if not b:
@@ -237,7 +247,7 @@ def compose(d1: PartitionDiagram, d2: PartitionDiagram) -> tuple[PartitionDiagra
             continue
         root = -1
         while b:
-            j = owner[_min_bit(b) - 1]
+            j = owner[(b & -b).bit_length() - 1]
             b &= ~tops[j]
             while parent[j] != j:
                 parent[j] = j = parent[parent[j]]  # path halving
@@ -340,34 +350,44 @@ def parse_diagram(text: str, order: int) -> PartitionDiagram:
     if not (compact.startswith("{") and compact.endswith("}")):
         raise ValueError("diagram text must be enclosed in braces")
     body = compact[1:-1]
-    if not body:
-        return canonicalize([], order)
     blocks = []
-    for part in body.split("|"):
+    for part in body.split("|") if body else ():
         if not part:
             raise ValueError("empty block in diagram text")
-        nodes = []
-        for token in part.split(","):
-            if token.endswith("'"):
-                digits, sign = token[:-1], -1
-            elif token.startswith("-"):
-                digits, sign = token[1:], -1
-            else:
-                digits, sign = token, 1
-            if not digits.isdigit():
+        tokens = part.split(",")
+        t = b = 0  # bit i for node i; bit 0 for 0 or past the order
+        for token in tokens:
+            digits = token.removesuffix("'")
+            if digits == token:
+                digits = token.removeprefix("-")
+            if not (digits.isascii() and digits.isdigit()):
                 raise ValueError(f"bad node token {token!r}")
-            nodes.append(sign * int(digits))
-        blocks.append(nodes)
-    return canonicalize(blocks, order)
+            i = int(digits)
+            bit = 1 << i if i <= order else 1
+            if digits == token:
+                t |= bit
+            else:
+                b |= bit
+        if (t | b) & 1 or t.bit_count() + b.bit_count() < len(tokens):
+            # canonicalize names the bad or repeated node
+            canonicalize([[-int(x[:-1]) if x.endswith("'") else int(x) for x in tokens]], order)
+        blocks.append((t >> 1, b >> 1))
+    return PartitionDiagram(order, _pad_blocks(blocks, order))
 
 
 def format_diagram(diagram: PartitionDiagram) -> str:
     """Canonical text form; inverse of :func:`parse_diagram` on its output."""
-    if not diagram.blocks:
-        return "{}"
     parts = []
     for t, b in diagram.blocks:
-        names = [str(i) for i in _bits(t)] + [f"{i}'" for i in _bits(b)]
+        names = []
+        while t:
+            low = t & -t
+            names.append(str(low.bit_length()))
+            t ^= low
+        while b:
+            low = b & -b
+            names.append(f"{low.bit_length()}'")
+            b ^= low
         parts.append(",".join(names))
     return "{" + "|".join(parts) + "}"
 

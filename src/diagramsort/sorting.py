@@ -264,13 +264,13 @@ def odot_assemble(factors: Iterable[PartitionDiagram], order: int) -> PartitionD
     return _assemble(order, [blk for f in fs for blk in _non_singletons(f)])
 
 
-def _event(split: Split) -> TraceEvent:
+def _event(split: Split, order: int) -> TraceEvent:
     chosen, left, groups, right = split
     tags = [FactorTag("L"), *(FactorTag("M", j) for j in range(1, len(groups) + 1)), FactorTag("R")]
     assignment = {
         _signed(blk): tag
         for tag, piece in zip(tags, (left, *groups, right))
-        for blk in sorted(piece, key=_block_key)
+        for blk in sorted(piece, key=_block_key(order))
     }
     return TraceEvent(bottom=frozenset(_bits(chosen[1])), assignment=assignment)
 
@@ -293,4 +293,4 @@ def sort_diagram_traced(diagram: PartitionDiagram) -> tuple[PartitionDiagram, tu
         return diagram, ()
     steps: list[Split] = []
     result = _assemble(diagram.order, _expand(diagram, steps))
-    return result, tuple(_event(step) for step in steps)
+    return result, tuple(_event(step, diagram.order) for step in steps)

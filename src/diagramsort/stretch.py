@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .core import PartitionDiagram, _bits, _mask, canonicalize
+from .core import PartitionDiagram, _mask, canonicalize
 
 __all__ = [
     "SetComposition",
@@ -99,11 +99,7 @@ def delta_k(blocks: Iterable[Iterable[int]], k: int) -> PartitionDiagram:
     support = {abs(x) for blk in blks for x in blk}
     if support and k < max(support):
         raise ValueError("k must be at least the largest index used")
-    padded = list(blks)
-    for i in range(1, k + 1):
-        if i not in support:
-            padded.append(frozenset({i, -i}))
-    return canonicalize(padded, k)
+    return canonicalize(blks + [{i, -i} for i in range(1, k + 1) if i not in support], k)
 
 
 def stretch_map(alpha: "SetComposition | Iterable[Iterable[int]]", k: int, diagram: PartitionDiagram) -> PartitionDiagram:
@@ -120,16 +116,23 @@ def stretch_map(alpha: "SetComposition | Iterable[Iterable[int]]", k: int, diagr
     support = 0
     for t, b in diagram.blocks:
         top = bottom = 0
-        for i in _bits(t):
-            top |= masks[i - 1]
-        for i in _bits(b):
-            bottom |= masks[i - 1]
+        while t:
+            low = t & -t
+            top |= masks[low.bit_length() - 1]
+            t ^= low
+        while b:
+            low = b & -b
+            bottom |= masks[low.bit_length() - 1]
+            b ^= low
         blocks.append((top, bottom))
         support |= top
     if support.bit_length() > k:
         raise ValueError("k must be at least the largest index used")
-    for i in _bits(((1 << k) - 1) & ~support):
-        blocks.append((1 << (i - 1), 1 << (i - 1)))
+    free = ((1 << k) - 1) & ~support
+    while free:
+        low = free & -free
+        blocks.append((low, low))
+        free ^= low
     return PartitionDiagram(k, blocks)
 
 

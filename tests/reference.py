@@ -179,6 +179,47 @@ def sparse_diagram(rng: random.Random, n: int, classes: int) -> PartitionDiagram
     return PartitionDiagram(n, [blk for blk in zip(tops, bottoms) if blk != (0, 0)])
 
 
+def block_walk_fault(order: int, blocks) -> str | None:
+    """The first fault met walking mask blocks one by one, or None if valid.
+
+    Top-row blocks come first by least top node, then the rest by least
+    bottom node; each block is checked for emptiness, range and overlap
+    with the blocks before it, and the union must cover both rows.
+    """
+    full = (1 << order) - 1
+    low = lambda m: (m & -m).bit_length()
+    seen_t = seen_b = 0
+    for t, b in sorted(blocks, key=lambda blk: (0, low(blk[0])) if blk[0] else (1, low(blk[1]))):
+        if t == 0 and b == 0:
+            return "empty block"
+        if t & ~full or b & ~full:
+            return f"node index out of range 1..{order}"
+        if t & seen_t or b & seen_b:
+            return "blocks overlap"
+        seen_t |= t
+        seen_b |= b
+    return None if seen_t == full and seen_b == full else "blocks do not cover all 2n nodes"
+
+
+def block_faults(order: int, blocks) -> set[str]:
+    """The message of every fault a list of mask blocks has, each tested on its own."""
+    full = (1 << order) - 1
+    faults = set()
+    if (0, 0) in blocks:
+        faults.add("empty block")
+    if any(t & ~full or b & ~full for t, b in blocks):
+        faults.add(f"node index out of range 1..{order}")
+    if any(x[0] & y[0] or x[1] & y[1] for x, y in combinations(blocks, 2)):
+        faults.add("blocks overlap")
+    for row in (0, 1):
+        union = 0
+        for blk in blocks:
+            union |= blk[row]
+        if union & full != full:
+            faults.add("blocks do not cover all 2n nodes")
+    return faults
+
+
 def stretched_identity(rng: random.Random, n: int) -> PartitionDiagram:
     """A random stretch of an identity diagram to order n, built by the node oracle."""
     m = rng.randint(1, max(1, n // 4))

@@ -182,6 +182,8 @@ def test_verify_smoke(monkeypatch, capsys):
 def test_domain_error_exits_one(capsys):
     assert run(["parse", "--order", "3", "{1,5}"]) == 1
     assert capsys.readouterr().err.startswith("error:")
+    assert run(["parse", "--order", "2", "{\u0661,\u0662'}"]) == 1  # Arabic-Indic digits
+    assert capsys.readouterr().err.startswith("error: bad node token")
 
 
 def test_usage_error_exits_one(capsys):

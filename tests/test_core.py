@@ -8,11 +8,13 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import diagrams, random_diagram
-from reference import compose_by_graph_walk, sparse_diagram, stretched_identity
+from reference import block_faults, block_walk_fault, compose_by_graph_walk, sparse_diagram, stretched_identity
 from diagramsort.core import (
     AlgebraElement,
+    PartitionDiagram,
     XiPoly,
     algebra_multiply,
     canonicalize,
@@ -94,6 +96,67 @@ def test_canonicalize_rejects_empty_block():
 @given(diagrams(max_order=4))
 def test_canonical_form_is_idempotent(d):
     assert canonicalize(d.block_sets(), d.order) == d
+
+
+# --- constructor validation -------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "order, blocks, message",
+    [
+        (2, [(1, 1), (2, 0), (0, 0), (0, 2)], "empty block"),
+        (2, [(-1, 1), (0, 2)], "node index out of range 1..2"),  # negative mask
+        (2, [(-1, 1), (4, 2)], "node index out of range 1..2"),  # negative, yet the row sums to full
+        (2, [(1, 1), (2, 2), (4, 0)], "node index out of range 1..2"),  # bit at position >= order
+        (2, [(3, 1), (2, 2)], "blocks overlap"),  # shared top bit, the union still full
+        (2, [(1, 1), (2, 2), (0, 2)], "blocks overlap"),  # shared bottom bit
+        (2, [(1, 1)], "blocks do not cover all 2n nodes"),
+        (1, [], "blocks do not cover all 2n nodes"),
+    ],
+)
+def test_constructor_error_messages(order, blocks, message):
+    with pytest.raises(ValueError) as err:
+        PartitionDiagram(order, blocks)
+    assert str(err.value) == message
+
+
+@st.composite
+def _edited_mask_lists(draw):
+    """A valid diagram's blocks of order <= 6 after up to three random edits."""
+    d = draw(diagrams(max_order=6))
+    n = d.order
+    blocks = list(d.blocks)
+    mask = st.integers(-3, (1 << (n + 1)) - 1)
+    for _ in range(draw(st.integers(0, 3))):
+        edit = draw(st.sampled_from(["drop", "add", "flip", "negate"]))
+        if edit == "add" or not blocks:
+            blocks.append((draw(mask), draw(mask)))
+            continue
+        i = draw(st.integers(0, len(blocks) - 1))
+        t, b = blocks[i]
+        if edit == "drop":
+            del blocks[i]
+        elif edit == "flip":
+            bit = 1 << draw(st.integers(0, n))
+            blocks[i] = (t ^ bit, b) if draw(st.booleans()) else (t, b ^ bit)
+        else:
+            blocks[i] = (-t, b) if t else (t, -b)
+    return n, blocks
+
+
+@settings(max_examples=400)
+@given(_edited_mask_lists())
+def test_constructor_accepts_exactly_what_the_block_walk_accepts(case):
+    order, blocks = case
+    expected = block_walk_fault(order, blocks)
+    try:
+        d = PartitionDiagram(order, blocks)
+    except ValueError as err:
+        assert expected is not None
+        assert str(err) in block_faults(order, blocks)
+    else:
+        assert expected is None
+        assert sorted(d.blocks) == sorted(blocks)
 
 
 # --- compose ---------------------------------------------------------------
@@ -249,6 +312,60 @@ def test_parse_rejects_bad_input():
         parse_diagram("{1,1}", 3)  # duplicate node
     with pytest.raises(ValueError):
         parse_diagram("{4}", 3)  # index beyond the order
+    # Unicode digits are not node indices, though str.isdigit accepts them.
+    with pytest.raises(ValueError, match="bad node token '\u0661'"):
+        parse_diagram("{\u0661,\u0662'}", 2)  # Arabic-Indic 1 and 2
+    with pytest.raises(ValueError, match="bad node token '\u00b2'"):
+        parse_diagram("{\u00b2}", 2)  # superscript 2, which int() rejects
+
+
+@pytest.mark.parametrize(
+    "text, order, message",
+    [
+        ("{1,1}", 3, "duplicate node 1 in block"),
+        ("{1',-1}", 3, "duplicate node 1' in block"),
+        ("{0}", 3, "node 0 is not valid; nodes are +i (top) or -i (bottom)"),
+        ("{-0}", 3, "node 0 is not valid; nodes are +i (top) or -i (bottom)"),
+        ("{4}", 3, "node index 4 out of range 1..3"),
+        ("{2,-7}", 3, "node index 7 out of range 1..3"),
+        ("{+1}", 3, "bad node token '+1'"),
+        ("{1_0}", 3, "bad node token '1_0'"),
+        ("{1,}", 3, "bad node token ''"),
+        ("{|1}", 3, "empty block in diagram text"),
+        ("{1,2", 3, "diagram text must be enclosed in braces"),
+        ("{1|1}", 3, "blocks overlap"),
+    ],
+)
+def test_parse_rejection_messages(text, order, message):
+    with pytest.raises(ValueError) as err:
+        parse_diagram(text, order)
+    assert str(err.value) == message
+
+
+def _scrambled(rng, d):
+    """d's blocks as signed-node lists and as non-canonical text.
+
+    Blocks and nodes are shuffled, bottom nodes written as i' or -i at
+    random, whitespace scattered between tokens, and about half the
+    singletons left out.
+    """
+    blocks = [list(blk) for blk in d.block_sets() if len(blk) > 1 or rng.random() < 0.5]
+    rng.shuffle(blocks)
+    for blk in blocks:
+        rng.shuffle(blk)
+    space = lambda: rng.choice(["", "", " ", "\t", "\n "])
+    name = lambda v: str(v) if v > 0 else rng.choice([f"{-v}'", str(v)])
+    body = "|".join(",".join(space() + name(v) + space() for v in blk) for blk in blocks)
+    return blocks, space() + "{" + body + "}" + space()
+
+
+def test_parse_matches_canonicalize_on_scrambled_text():
+    rng = random.Random(67)
+    for _ in range(25):
+        n = rng.randint(64, 256)
+        for d in (random_diagram(rng, n), sparse_diagram(rng, n, rng.randint(n // 4, n))):
+            blocks, text = _scrambled(rng, d)
+            assert parse_diagram(text, n) == canonicalize(blocks, n) == d
 
 
 @settings(max_examples=300)
