@@ -73,16 +73,10 @@ def _pad_blocks(blocks: Iterable[tuple[int, int]], order: int) -> list[tuple[int
         seen_t |= t
         seen_b |= b
     full = (1 << order) - 1
-    free = full & ~seen_t
-    while free:
-        low = free & -free
-        out.append((low, 0))
-        free ^= low
-    free = full & ~seen_b
-    while free:
-        low = free & -free
-        out.append((0, low))
-        free ^= low
+    for i in _bits(full & ~seen_t):
+        out.append((1 << (i - 1), 0))
+    for i in _bits(full & ~seen_b):
+        out.append((0, 1 << (i - 1)))
     return out
 
 
@@ -98,8 +92,9 @@ class PartitionDiagram:
     :func:`parse_diagram`, or the generators in this module rather than
     assembling masks by hand.  The constructor is the one validator: it
     raises ``ValueError`` on an empty block, a node index out of range,
-    overlapping blocks, or nodes left uncovered.  A row passes when its
-    masks both OR and sum to the full row: only disjoint masks in range do.
+    overlapping blocks, or nodes left uncovered, naming the first of these
+    faults in that order.  A row passes when its masks both OR and sum to
+    the full row: only disjoint masks in range do.
     """
 
     __slots__ = ("order", "blocks", "_hash")
@@ -115,17 +110,13 @@ class PartitionDiagram:
             seen_b |= b
             sum_t += t
             sum_b += b
-        if (0, 0) in blist or not seen_t == full == sum_t or not seen_b == full == sum_b:
-            seen_t = seen_b = 0
-            for t, b in blist:
-                if t == 0 and b == 0:
-                    raise ValueError("empty block")
-                if t & ~full or b & ~full:
-                    raise ValueError(f"node index out of range 1..{order}")
-                if t & seen_t or b & seen_b:
-                    raise ValueError("blocks overlap")
-                seen_t |= t
-                seen_b |= b
+        if (0, 0) in blist:
+            raise ValueError("empty block")
+        if (seen_t | seen_b) & ~full:  # a negative mask sets the sign bit
+            raise ValueError(f"node index out of range 1..{order}")
+        if sum_t != seen_t or sum_b != seen_b:  # masks in range sum to their OR iff disjoint
+            raise ValueError("blocks overlap")
+        if seen_t != full or seen_b != full:
             raise ValueError("blocks do not cover all 2n nodes")
         canonical = tuple(blist)
         _set(self, "order", order)
@@ -342,6 +333,11 @@ def enumerate_diagrams(order: int, prefix: tuple[int, ...] = ()) -> Iterator[Par
 
 def parse_diagram(text: str, order: int) -> PartitionDiagram:
     """Parse the text form of a diagram at the given order.
+
+    On bad text, the ``ValueError`` names the fault of the first faulty
+    block in reading order; within a block, a malformed token is named
+    before a bad or repeated index.  Overlap between blocks is named only
+    when every block reads well.
 
     >>> parse_diagram("{1,2 | 2'}", 2) == parse_diagram("{1,2|1'|2'}", 2)
     True

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .core import PartitionDiagram, _mask, canonicalize
+from .core import PartitionDiagram, _bits, _mask, canonicalize
 
 __all__ = [
     "SetComposition",
@@ -116,14 +116,10 @@ def stretch_map(alpha: "SetComposition | Iterable[Iterable[int]]", k: int, diagr
     support = 0
     for t, b in diagram.blocks:
         top = bottom = 0
-        while t:
-            low = t & -t
-            top |= masks[low.bit_length() - 1]
-            t ^= low
-        while b:
-            low = b & -b
-            bottom |= masks[low.bit_length() - 1]
-            b ^= low
+        for i in _bits(t):
+            top |= masks[i - 1]
+        for i in _bits(b):
+            bottom |= masks[i - 1]
         blocks.append((top, bottom))
         support |= top
     if support.bit_length() > k:

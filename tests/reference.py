@@ -201,22 +201,26 @@ def block_walk_fault(order: int, blocks) -> str | None:
     return None if seen_t == full and seen_b == full else "blocks do not cover all 2n nodes"
 
 
-def block_faults(order: int, blocks) -> set[str]:
-    """The message of every fault a list of mask blocks has, each tested on its own."""
+def block_faults(order: int, blocks) -> list[str]:
+    """The message of every fault a list of mask blocks has, each tested on its own.
+
+    Messages come in the order the constructor ranks them: empty block,
+    range, overlap, cover.
+    """
     full = (1 << order) - 1
-    faults = set()
+    faults = []
     if (0, 0) in blocks:
-        faults.add("empty block")
+        faults.append("empty block")
     if any(t & ~full or b & ~full for t, b in blocks):
-        faults.add(f"node index out of range 1..{order}")
+        faults.append(f"node index out of range 1..{order}")
     if any(x[0] & y[0] or x[1] & y[1] for x, y in combinations(blocks, 2)):
-        faults.add("blocks overlap")
-    for row in (0, 1):
-        union = 0
-        for blk in blocks:
-            union |= blk[row]
-        if union & full != full:
-            faults.add("blocks do not cover all 2n nodes")
+        faults.append("blocks overlap")
+    top = bottom = 0
+    for t, b in blocks:
+        top |= t
+        bottom |= b
+    if top & full != full or bottom & full != full:
+        faults.append("blocks do not cover all 2n nodes")
     return faults
 
 

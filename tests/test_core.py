@@ -112,6 +112,10 @@ def test_canonical_form_is_idempotent(d):
         (2, [(1, 1), (2, 2), (0, 2)], "blocks overlap"),  # shared bottom bit
         (2, [(1, 1)], "blocks do not cover all 2n nodes"),
         (1, [], "blocks do not cover all 2n nodes"),
+        # several faults: the first in the order above is named
+        (2, [(4, 0), (0, 0)], "empty block"),
+        (2, [(3, 1), (6, 2)], "node index out of range 1..2"),
+        (2, [(3, 1), (2, 0)], "blocks overlap"),
     ],
 )
 def test_constructor_error_messages(order, blocks, message):
@@ -153,7 +157,7 @@ def test_constructor_accepts_exactly_what_the_block_walk_accepts(case):
         d = PartitionDiagram(order, blocks)
     except ValueError as err:
         assert expected is not None
-        assert str(err) in block_faults(order, blocks)
+        assert str(err) == block_faults(order, blocks)[0]
     else:
         assert expected is None
         assert sorted(d.blocks) == sorted(blocks)
@@ -304,42 +308,40 @@ def test_parse_braces_only_is_all_singletons():
     assert parse_diagram("{}", 2) == canonicalize([], 2)
 
 
-def test_parse_rejects_bad_input():
-    for text in ["1,2", "{1,}", "{|1}", "{1,2", "{1,x}", "{1''}", "{--1}"]:
-        with pytest.raises(ValueError):
-            parse_diagram(text, 3)
-    with pytest.raises(ValueError):
-        parse_diagram("{1,1}", 3)  # duplicate node
-    with pytest.raises(ValueError):
-        parse_diagram("{4}", 3)  # index beyond the order
+# Every parse rejection with its exact message.  Blocks are read in order
+# and the first faulty block is named; within a block a malformed token is
+# named before a bad or repeated index.
+PARSE_REJECTIONS = [
+    ("1,2", 3, "diagram text must be enclosed in braces"),
+    ("{1,2", 3, "diagram text must be enclosed in braces"),
+    ("{|1}", 3, "empty block in diagram text"),
+    ("{1,}", 3, "bad node token ''"),
+    ("{1,x}", 3, "bad node token 'x'"),
+    ("{1''}", 3, "bad node token \"1''\""),
+    ("{--1}", 3, "bad node token '--1'"),
+    ("{+1}", 3, "bad node token '+1'"),
+    ("{1_0}", 3, "bad node token '1_0'"),
     # Unicode digits are not node indices, though str.isdigit accepts them.
-    with pytest.raises(ValueError, match="bad node token '\u0661'"):
-        parse_diagram("{\u0661,\u0662'}", 2)  # Arabic-Indic 1 and 2
-    with pytest.raises(ValueError, match="bad node token '\u00b2'"):
-        parse_diagram("{\u00b2}", 2)  # superscript 2, which int() rejects
+    ("{\u0661,\u0662'}", 2, "bad node token '\u0661'"),  # Arabic-Indic 1 and 2
+    ("{\u00b2}", 2, "bad node token '\u00b2'"),  # superscript 2, which int() rejects
+    ("{0}", 3, "node 0 is not valid; nodes are +i (top) or -i (bottom)"),
+    ("{-0}", 3, "node 0 is not valid; nodes are +i (top) or -i (bottom)"),
+    ("{4}", 3, "node index 4 out of range 1..3"),
+    ("{2,-7}", 3, "node index 7 out of range 1..3"),
+    ("{1,1}", 3, "duplicate node 1 in block"),
+    ("{1',-1}", 3, "duplicate node 1' in block"),
+    ("{1|1}", 3, "blocks overlap"),
+    ("{4|x}", 3, "node index 4 out of range 1..3"),  # the first faulty block wins
+    ("{4,x}", 3, "bad node token 'x'"),  # a malformed token wins within a block
+    ("{1|1|x}", 3, "bad node token 'x'"),  # overlap only once every block reads well
+]
 
 
-@pytest.mark.parametrize(
-    "text, order, message",
-    [
-        ("{1,1}", 3, "duplicate node 1 in block"),
-        ("{1',-1}", 3, "duplicate node 1' in block"),
-        ("{0}", 3, "node 0 is not valid; nodes are +i (top) or -i (bottom)"),
-        ("{-0}", 3, "node 0 is not valid; nodes are +i (top) or -i (bottom)"),
-        ("{4}", 3, "node index 4 out of range 1..3"),
-        ("{2,-7}", 3, "node index 7 out of range 1..3"),
-        ("{+1}", 3, "bad node token '+1'"),
-        ("{1_0}", 3, "bad node token '1_0'"),
-        ("{1,}", 3, "bad node token ''"),
-        ("{|1}", 3, "empty block in diagram text"),
-        ("{1,2", 3, "diagram text must be enclosed in braces"),
-        ("{1|1}", 3, "blocks overlap"),
-    ],
-)
-def test_parse_rejection_messages(text, order, message):
-    with pytest.raises(ValueError) as err:
-        parse_diagram(text, order)
-    assert str(err.value) == message
+def test_parse_rejects_bad_input():
+    for text, order, message in PARSE_REJECTIONS:
+        with pytest.raises(ValueError) as err:
+            parse_diagram(text, order)
+        assert (text, str(err.value)) == (text, message)
 
 
 def _scrambled(rng, d):
