@@ -24,15 +24,16 @@ for d in (good, bad):
     print("  direct:", is_sss_direct(d), " structural:", is_sss_theorem(d))
     assert is_sss_direct(d) == is_sss_theorem(d)
 
-# The census counts sortable diagrams among all Bell(2n) of each order,
-# but only looks at the structural candidates, Fubini(n) of them, and
-# counts those on bit masks without sorting.  check=True also sorts every
-# diagram as a brute-force oracle.  The sortable counts
+# The census counts sortable diagrams among all Bell(2n) of each order.
+# Only the structural candidates, Fubini(n) of them, can be sortable, and
+# the census counts those by an exact recursion on packed words, without
+# building or sorting any; "states" is the size of its memo.  check=True
+# also sorts every diagram as a brute-force oracle.  The sortable counts
 # below (1, 1, 3, 12, 56, ...) are computed, not from paper.
-print("n\ttotal\tcandidates\tsortable")
-for n in range(7):
+print("n\ttotal\tcandidates\tsortable\tstates")
+for n in range(13):
     row = census_stretch_sortable(n)
-    print(f"{row.n}\t{row.total}\t{row.candidates}\t{row.sortable}")
+    print(f"{row.n}\t{row.total}\t{row.candidates}\t{row.sortable}\t{row.states}")
 oracle = census_stretch_sortable(4, check=True)
 print(f"brute-force oracle at order 4: {oracle.sortable} of {oracle.candidates} diagrams sorted")
 

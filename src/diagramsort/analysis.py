@@ -10,9 +10,9 @@ labels.
 A stretched identity has equal top and bottom sets in every block, and
 the sort keeps each block's sizes, never moves a bottom label and gives
 each propagating block consecutive top labels, so only diagrams of the
-right block shapes can be sortable.  The census
-counts just these structural candidates, Fubini(n) of the Bell(2n)
-diagrams, on masks; its ``check`` mode sorts all Bell(2n) as the oracle.
+right block shapes can be sortable.  The census counts these structural
+candidates, Fubini(n) of the Bell(2n) diagrams, by a recursion on packed
+words that builds none of them; ``check`` sorts all Bell(2n) as the oracle.
 The counts are computed here, not quoted from any published table.
 """
 
@@ -135,8 +135,9 @@ def is_sss_theorem(diagram: PartitionDiagram) -> bool:
 class CensusRow:
     """One census result: all diagrams of the order versus sortable ones.
 
-    ``candidates``: structural candidates accounted for, Fubini(n); all
-    ``total`` under ``check``.
+    ``candidates``: the structural candidates, Fubini(n); ``states``: the
+    memo states the recursion filled.  Under ``check`` the row reports
+    the oracle: all ``total`` diagrams sorted, no states.
     """
 
     n: int
@@ -144,6 +145,7 @@ class CensusRow:
     sortable: int
     elapsed: float
     candidates: int = 0
+    states: int = 0
 
 
 def _bell(m: int) -> int:
@@ -195,46 +197,63 @@ def _candidates(order: int, sizes: tuple[int, ...]) -> Iterator[list[Block]]:
     return assign(0, (1 << order) - 1)
 
 
-def _count_sortable(args: tuple[int, tuple[int, ...]]) -> tuple[int, int]:
-    """(candidates, sortable) for one bottom composition, counted on masks.
+def _count_sss(n: int) -> tuple[int, int]:
+    """(sortable candidates of order n, memo states), on packed words.
 
-    The first split chooses C, the block on the last bottom interval.  The
-    other blocks take tops in bottom order, classed L, M or R as in
-    :func:`_split`; a class below the last breaks the first step, so the
-    branch stops and its completions are counted.  Survivors' pieces walk
-    on; all blocks propagate, so M is one group.
+    A candidate is the packed word w(p) = j when top node p lies in the
+    block on the j-th bottom interval.  The first split chooses C, the
+    largest letter; w sorts iff L, M and R do and L < M < R.  h(m, x, y)
+    counts sortable words of length m with no letter wholly in the first
+    x or the last y positions.  C's first position p and last q leave a
+    left zone [1, max(p, x)], a right zone [min(q, m - y + 1), m] and z
+    positions between, each C or M; L lies before p, R after q, and M's
+    rule counts its positions in each zone.  h(m, x, y) = h(m, y, x), and
+    x + y <= m in every state reached from h(n, 0, 0).
     """
-    order, sizes = args
-    if not sizes:
-        return 1, 1  # the empty diagram is the identity of order 0
-    *sizes, last = sizes
-    bottoms = [((1 << size) - 1) << sum(sizes[:j]) for j, size in enumerate(sizes)]
-    completions = [1]  # [j]: ways for blocks j.. to take tops from the nodes they leave free
-    for j in reversed(range(len(sizes))):
-        completions.insert(0, completions[0] * comb(sum(sizes[j:]), sizes[j]))
-    pieces = ([], [], [])  # L, M, R
-    candidates = sortable = 0
+    binom = [[comb(k, i) for i in range(k + 1)] for k in range(n + 1)]
+    memo = {(0, 0, 0): 1}
+    zones: dict = {}
+    middles: dict = {}
 
-    def assign(j: int, free: int, floor: int) -> None:
-        nonlocal candidates, sortable
-        if j == len(sizes):
-            candidates += 1
-            sortable += not _first_broken_step([p for p in pieces if p], order)
-            return
-        for top in _subsets(free, sizes[j]):
-            cls = 0 if top < first else 2 if not top & upto else 1
-            if cls < floor:
-                candidates += completions[j + 1]
-                continue
-            pieces[cls].append((top, bottoms[j]))
-            assign(j + 1, free ^ top, cls)
-            pieces[cls].pop()
+    def h(m: int, x: int, y: int) -> int:
+        if x > y:
+            x, y = y, x
+        key = m, x, y
+        if key in memo:
+            return memo[key]
+        total = 0
+        for lz in range(max(x, 1), m + 1):
+            for rz in range(max(y, 1), m + 2 - lz):
+                if lz + rz > m and (lz == x or rz == y):
+                    continue  # p = q: one C position, in neither rule
+                z = max(m - lz - rz, 0)
+                for a, wa in enumerate(zone(x, lz)):
+                    if wa:
+                        for b, wb in enumerate(zone(y, rz)):
+                            if wb:
+                                total += wa * wb * middle(z, a, b)
+        memo[key] = total
+        return total
 
-    everything = (1 << order) - 1
-    for chosen in _subsets(everything, last):  # assign classes against this C's first and upto
-        first, upto = chosen & -chosen, (1 << chosen.bit_length()) - 1
-        assign(0, everything ^ chosen, 0)
-    return candidates, sortable
+    def middle(z: int, a: int, b: int) -> int:
+        if (z, a, b) not in middles:
+            middles[z, a, b] = sum(c * h(a + b + i, a, b) for i, c in enumerate(binom[z]))
+        return middles[z, a, b]
+
+    def zone(x: int, lz: int) -> list[int]:
+        """Fillings of [1, lz] by their number of M positions."""
+        if (x, lz) not in zones:
+            if lz <= x:  # p <= x: M before p (an L letter would break the rule), C or M after
+                zones[x, lz] = binom[x][:x]
+            else:  # p = lz: L or M before it, the first x positions in L's rule
+                out = [0] * lz
+                for i, ci in enumerate(binom[x]):
+                    for j, cj in enumerate(binom[lz - 1 - x]):
+                        out[lz - 1 - i - j] += ci * cj * h(i + j, i, 0)
+                zones[x, lz] = out
+        return zones[x, lz]
+
+    return h(n, 0, 0), len(memo)
 
 
 def _scan(args: tuple[int, tuple[int, ...]]) -> tuple[int, list[PartitionDiagram]]:
@@ -254,9 +273,9 @@ def _scan(args: tuple[int, tuple[int, ...]]) -> tuple[int, list[PartitionDiagram
     return total, sortable
 
 
-# Both census paths start worker processes only above this many diagrams: with
-# 2 x86 cores two workers broke even on census order 7 (47293 candidates) and
-# lost on oracle order 4 (4140), but saved 40% at 8 (545835) and 5 (115975).
+# The --check oracle starts worker processes only above this many diagrams:
+# with 2 x86 cores two workers lost on order 4 (Bell(8) = 4140) and saved 40%
+# on order 5 (Bell(10) = 115975).
 POOL_MIN_CANDIDATES = 50000
 
 
@@ -287,21 +306,19 @@ def _map_chunks(fn: Callable, chunks: list, jobs: int, diagrams: int) -> list:
 def census_stretch_sortable(n: int, *, check: bool = False, jobs: int = 1) -> CensusRow:
     """Count stretch-stack-sortable diagrams among all diagrams of order n.
 
-    Only the structural candidates are counted, on masks, without sorting.
+    The count comes from :func:`_count_sss`, which builds no diagram.
     With ``check`` set, every diagram is also sorted and both predicates
     compared on it; :class:`VerificationError` is raised if they disagree,
     if the diagrams enumerated are not Bell(2n), if a sortable diagram is
-    not a candidate, or if either count differs.  ``jobs`` > 1 splits the
-    work by bottom composition (``check``: by restricted growth prefix)
-    across processes, each path only above ``POOL_MIN_CANDIDATES``
-    diagrams; the counts are identical regardless of worker count.
+    not a candidate, or if either count differs.  ``jobs`` > 1 splits that
+    scan by restricted growth prefix across processes above
+    ``POOL_MIN_CANDIDATES`` diagrams; the counts do not depend on it.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     start = time.perf_counter()
-    total = _bell(2 * n)
-    counts = _map_chunks(_count_sortable, [(n, sizes) for sizes in _compositions(n)], jobs, _fubini(n))
-    candidates, sortable = map(sum, zip(*counts))
+    total, candidates = _bell(2 * n), _fubini(n)
+    sortable, states = _count_sss(n)
     if check:
         structural = {PartitionDiagram(n, b) for sizes in _compositions(n) for b in _candidates(n, sizes)}
         prefixes = _rgs_strings(min(2 * n, 6))  # Bell(6) = 203 chunks
@@ -309,15 +326,15 @@ def census_stretch_sortable(n: int, *, check: bool = False, jobs: int = 1) -> Ce
         found = [d for _, ds in scans for d in ds]
         for what, got, want in (
             ("diagrams, Bell(2n)", sum(t for t, _ in scans), total),
-            ("candidates counted, enumerated", candidates, len(structural)),
+            ("candidates, Fubini(n) and enumerated", candidates, len(structural)),
             ("sortable counted, scanned", sortable, len(found)),
             ("sortable non-candidates", [format_diagram(d) for d in found if d not in structural], []),
         ):
             if got != want:
                 raise VerificationError(f"order {n} {what}: {got} != {want}")
-        candidates = total  # the oracle sorts every diagram
+        candidates, states = total, 0  # the row reports the oracle, which sorts every diagram
     elapsed = time.perf_counter() - start
-    return CensusRow(n=n, total=total, sortable=sortable, elapsed=elapsed, candidates=candidates)
+    return CensusRow(n=n, total=total, sortable=sortable, elapsed=elapsed, candidates=candidates, states=states)
 
 
 def count_t_stack_sortable(n: int, t: int) -> int:

@@ -131,6 +131,7 @@ def _cmd_census(args: argparse.Namespace) -> int:
                 "total": row.total,
                 "sortable": row.sortable,
                 "candidates": row.candidates,
+                "states": row.states,
                 "millis": millis,
             }))
         else:
@@ -204,7 +205,7 @@ def _build_parser() -> _Parser:
         action="store_true",
         help="also sort all Bell(2n) diagrams, checking both predicates on each and the counts",
     )
-    p.add_argument("--jobs", type=int, default=1, help="worker processes")
+    p.add_argument("--jobs", type=int, default=1, help="worker processes for the --check scan")
     p.add_argument("--json", action="store_true", help="one JSON object per row instead of TSV")
     p.set_defaults(handler=_cmd_census)
 
@@ -215,7 +216,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("verify", help="run the whole invariant suite")
     p.add_argument(
-        "--deep", action="store_true", help="predicate sweep to order 5, counter gate to 6, census to 7"
+        "--deep", action="store_true", help="predicate sweep to order 5, census counters to 6"
     )
     p.add_argument("--seed", type=int, default=2024, help="seed for the sampled properties")
     p.set_defaults(handler=_cmd_verify)

@@ -34,7 +34,9 @@ from .analysis import (
     _bell,
     _candidates,
     _compositions,
-    _count_sortable,
+    _count_sss,
+    _first_broken_step,
+    _subsets,
     census_stretch_sortable,
     contains_231,
     count_t_stack_sortable,
@@ -43,14 +45,16 @@ from .analysis import (
     is_t_stack_sortable,
 )
 
-__all__ = ["CheckResult", "run_checks", "SORTABLE_COUNTS", "SORTABLE_COUNTS_DEEP"]
+__all__ = ["CheckResult", "run_checks", "SORTABLE_COUNTS"]
 
 # Stretch-stack-sortable counts per order: regression constants computed
-# by this package's census and cross-checked by its exhaustive Bell(2n)
-# scan (census --check), at order 7 by the direct sort of every candidate;
-# not from paper.
-SORTABLE_COUNTS = {0: 1, 1: 1, 2: 3, 3: 12, 4: 56, 5: 297}
-SORTABLE_COUNTS_DEEP = {6: 1753, 7: 11360}
+# by this package, not from paper.  The exhaustive Bell(2n) scan (census
+# --check) confirmed orders 0-6, the direct sort of every candidate order
+# 7, the mask counter orders 8 and 9; orders 10-12 rest on the recursion.
+SORTABLE_COUNTS = {
+    0: 1, 1: 1, 2: 3, 3: 12, 4: 56, 5: 297, 6: 1753, 7: 11360,
+    8: 80084, 9: 610078, 10: 4996600, 11: 43815540, 12: 409977172,
+}
 
 
 @dataclass(frozen=True)
@@ -175,16 +179,63 @@ def _check_predicates_agree(deep: bool) -> str:
     return f"{total} diagrams, n <= {top}"
 
 
+def _count_sortable(args: tuple[int, tuple[int, ...]]) -> tuple[int, int]:
+    """(candidates, sortable) for one bottom composition, counted on masks.
+
+    The recursion's oracle.  The first split chooses C, the block on the
+    last bottom interval.  The other blocks take tops in bottom order,
+    classed L, M or R as in ``sorting._split``; a class below the last
+    breaks the first step, so the branch stops and its completions are
+    counted.  Survivors' pieces walk on; all blocks propagate, so M is one
+    group.
+    """
+    order, sizes = args
+    if not sizes:
+        return 1, 1  # the empty diagram is the identity of order 0
+    *sizes, last = sizes
+    bottoms = [((1 << size) - 1) << sum(sizes[:j]) for j, size in enumerate(sizes)]
+    completions = [1]  # [j]: ways for blocks j.. to take tops from the nodes they leave free
+    for j in reversed(range(len(sizes))):
+        completions.insert(0, completions[0] * comb(sum(sizes[j:]), sizes[j]))
+    pieces = ([], [], [])  # L, M, R
+    candidates = sortable = 0
+
+    def assign(j: int, free: int, floor: int) -> None:
+        nonlocal candidates, sortable
+        if j == len(sizes):
+            candidates += 1
+            sortable += not _first_broken_step([p for p in pieces if p], order)
+            return
+        for top in _subsets(free, sizes[j]):
+            cls = 0 if top < first else 2 if not top & upto else 1
+            if cls < floor:
+                candidates += completions[j + 1]
+                continue
+            pieces[cls].append((top, bottoms[j]))
+            assign(j + 1, free ^ top, cls)
+            pieces[cls].pop()
+
+    everything = (1 << order) - 1
+    for chosen in _subsets(everything, last):  # assign classes against this C's first and upto
+        first, upto = chosen & -chosen, (1 << chosen.bit_length()) - 1
+        assign(0, everything ^ chosen, 0)
+    return candidates, sortable
+
+
 def _check_census_counter(deep: bool) -> str:
-    """The census counter against the direct sort of every candidate, per bottom composition."""
+    """The recursion against the mask counter per order; the counter against the direct sort per composition."""
     got = {}
     for n in range(7 if deep else 6):
+        counted = 0
         for sizes in _compositions(n):
             direct = [is_sss_direct(PartitionDiagram(n, b)) for b in _candidates(n, sizes)]
             got[sizes] = _count_sortable((n, sizes))
             _require(got[sizes] == (len(direct), sum(direct)), f"counter wrong on bottom sizes {sizes}")
+            counted += got[sizes][1]
+        recursion = _count_sss(n)[0]
+        _require(recursion == counted, f"recursion at n={n}: {recursion} != {counted} from the mask counter")
     _require((got[1, 1, 2, 1][1], got[1, 2, 1, 1][1]) == (29, 28), "(1,1,2,1), (1,2,1,1) must give 29, 28")
-    return f"{len(got)} bottom compositions, n <= {n}"
+    return f"recursion = mask counter = direct sort, n <= {n}; {len(got)} bottom compositions"
 
 
 def _check_identity_laws() -> str:
@@ -335,12 +386,9 @@ def _check_parser_round_trip(rng: random.Random) -> str:
     return f"{total} random diagrams, n <= 5"
 
 
-def _check_census_regression(deep: bool) -> str:
-    expected = dict(SORTABLE_COUNTS)
-    if deep:
-        expected.update(SORTABLE_COUNTS_DEEP)
+def _check_census_regression() -> str:
     rows = []
-    for n, want in sorted(expected.items()):
+    for n, want in sorted(SORTABLE_COUNTS.items()):
         row = census_stretch_sortable(n)
         _require(row.total == _bell(2 * n), f"census total at n={n} is not Bell(2n)")
         _require(
@@ -352,7 +400,7 @@ def _check_census_regression(deep: bool) -> str:
 
 
 def run_checks(deep: bool = False, seed: int = 2024) -> list[CheckResult]:
-    """Run the whole suite; ``deep`` takes the predicate sweep to order 5, the counter to 6, the census to 7."""
+    """Run the whole suite; ``deep`` takes the predicate sweep to order 5 and the census counters to 6."""
     rng = random.Random(seed)
     suite: list[tuple[str, Callable[[], str]]] = [
         ("golden-examples", _check_golden_examples),
@@ -372,7 +420,7 @@ def run_checks(deep: bool = False, seed: int = 2024) -> list[CheckResult]:
         ("t-sortable-monotone", _check_monotone),
         ("restriction-to-permutations", _check_restriction),
         ("parser-round-trip", lambda: _check_parser_round_trip(rng)),
-        ("census-regression", lambda: _check_census_regression(deep)),
+        ("census-regression", _check_census_regression),
     ]
     results = []
     for name, fn in suite:

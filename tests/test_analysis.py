@@ -32,12 +32,12 @@ from diagramsort.core import (
 from diagramsort.sorting import sort_diagram_traced
 from diagramsort.verification import (
     SORTABLE_COUNTS,
-    SORTABLE_COUNTS_DEEP,
     _check_census_counter,
     _check_knuth_catalan,
     _check_monotone,
     _check_predicates_agree,
     _check_restriction,
+    _count_sortable,
 )
 from reference import structural_candidate
 
@@ -211,29 +211,42 @@ def test_census_pinned_counts():
 
 
 def test_census_counter_matches_direct_sort_per_composition():
-    assert _check_census_counter(deep=False) == "32 bottom compositions, n <= 5"
+    assert _check_census_counter(deep=False) == (
+        "recursion = mask counter = direct sort, n <= 5; 32 bottom compositions"
+    )
 
 
 @pytest.mark.skipif(os.environ.get("DIAGRAMSORT_DEEP") != "1", reason="set DIAGRAMSORT_DEEP=1 for order 6")
 def test_census_counter_matches_direct_sort_per_composition_deep():
-    assert _check_census_counter(deep=True) == "64 bottom compositions, n <= 6"
+    assert _check_census_counter(deep=True) == (
+        "recursion = mask counter = direct sort, n <= 6; 64 bottom compositions"
+    )
+
+
+def test_census_recursion_matches_mask_counter():
+    for n in range(8):
+        counted = sum(_count_sortable((n, sizes))[1] for sizes in analysis_module._compositions(n))
+        assert analysis_module._count_sss(n)[0] == counted == SORTABLE_COUNTS[n]
 
 
 def test_census_builds_no_diagram(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("the census built a diagram")
+    def refuse(*args, **kwargs):
+        raise AssertionError("the census built a diagram or started a pool")
 
     monkeypatch.setattr(PartitionDiagram, "__init__", refuse)
     monkeypatch.setattr(analysis_module, "sort_diagram", refuse)
-    for n in range(7):
-        assert census_stretch_sortable(n).sortable == {**SORTABLE_COUNTS, **SORTABLE_COUNTS_DEEP}[n]
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    for n, want in SORTABLE_COUNTS.items():
+        row = census_stretch_sortable(n, jobs=2)
+        assert (row.sortable, row.candidates) == (want, analysis_module._fubini(n))
+        assert row.states > 0
 
 
 def test_census_parallel_matches_serial(monkeypatch):
     monkeypatch.setattr(analysis_module, "POOL_MIN_CANDIDATES", 0)  # start real workers at every order
-    for n, check in ((3, False), (3, True), (5, False), (6, False)):
-        serial = census_stretch_sortable(n, check=check)
-        parallel = census_stretch_sortable(n, check=check, jobs=2)
+    for n in (2, 3):
+        serial = census_stretch_sortable(n, check=True)
+        parallel = census_stretch_sortable(n, check=True, jobs=2)
         assert (serial.total, serial.sortable, serial.candidates) == (
             parallel.total,
             parallel.sortable,
@@ -304,27 +317,27 @@ def test_census_check_catches_a_missing_diagram(monkeypatch, name, patch):
 
 
 def _drop_one_survivor(real):
-    def count(args):
-        candidates, sortable = real(args)
-        return candidates, sortable - (args == (3, (1, 1, 1)))
+    def count(n):
+        sortable, states = real(n)
+        return sortable - (n == 3), states
 
     return count
 
 
-def _miscredit_a_pruned_branch(real):
-    def count(args):
-        candidates, sortable = real(args)
-        return candidates + (args == (3, (1, 1, 1))), sortable
+def _add_one_survivor(real):
+    def count(n):
+        sortable, states = real(n)
+        return sortable + (n == 3), states
 
     return count
 
 
-@pytest.mark.parametrize("patch", [_drop_one_survivor, _miscredit_a_pruned_branch])
+@pytest.mark.parametrize("patch", [_drop_one_survivor, _add_one_survivor])
 def test_census_check_catches_a_miscounting_counter(monkeypatch, patch):
-    monkeypatch.setattr(analysis_module, "_count_sortable", patch(analysis_module._count_sortable))
+    monkeypatch.setattr(analysis_module, "_count_sss", patch(analysis_module._count_sss))
     row = census_stretch_sortable(3)  # the census alone does not notice
-    assert (row.candidates, row.sortable) != (FUBINI[3], SORTABLE_COUNTS[3])
-    with pytest.raises(VerificationError):
+    assert row.sortable != SORTABLE_COUNTS[3]
+    with pytest.raises(VerificationError, match="sortable counted, scanned"):
         census_stretch_sortable(3, check=True)
 
 
@@ -347,18 +360,15 @@ def test_census_pool_only_above_threshold(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(analysis_module.os, "cpu_count", lambda: 2)
     assert [analysis_module._fubini(n) for n in range(9)] == [*FUBINI, 47293, 545835]
-    # The census pools from order 8, the Bell(2n) oracle from order 5.
-    assert 47293 <= analysis_module.POOL_MIN_CANDIDATES < 545835
+    # The Bell(2n) oracle pools from order 5; the census itself never does.
     assert analysis_module._bell(8) <= analysis_module.POOL_MIN_CANDIDATES < analysis_module._bell(10)
-    for n in (3, 6):
-        census_stretch_sortable(n, jobs=2)
+    census_stretch_sortable(12, jobs=2)
     census_stretch_sortable(4, check=True, jobs=2)  # the oracle sorts Bell(8) = 4140
     assert started == []
-    # Orders 7 and 8 counted as zeros: only whether a pool starts matters here.
-    monkeypatch.setattr(analysis_module, "_count_sortable", lambda args: (0, 0))
-    census_stretch_sortable(7, jobs=2)
-    assert started == []
-    census_stretch_sortable(8, jobs=2)
+    # Order 5 scanned as empty chunks: only whether a pool starts matters here.
+    monkeypatch.setattr(analysis_module, "_scan", lambda args: (0, []))
+    with pytest.raises(VerificationError):
+        census_stretch_sortable(5, check=True, jobs=2)
     assert started == [2]
 
 

@@ -112,12 +112,12 @@ def test_census_single_order(capsys):
 def test_census_json_rows(capsys):
     assert run(["census", "--n", "1..3", "--json", "--check"]) == 0
     rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
-    assert [(r["n"], r["total"], r["sortable"], r["candidates"]) for r in rows] == [
-        (n, total, SORTABLE_COUNTS[n], total) for n, total in ((1, 2), (2, 15), (3, 203))
+    assert [(r["n"], r["total"], r["sortable"], r["candidates"], r["states"]) for r in rows] == [
+        (n, total, SORTABLE_COUNTS[n], total, 0) for n, total in ((1, 2), (2, 15), (3, 203))
     ]
     assert run(["census", "--n", "3", "--json"]) == 0
     row = json.loads(capsys.readouterr().out)
-    assert (row["total"], row["sortable"], row["candidates"]) == (203, SORTABLE_COUNTS[3], 13)
+    assert (row["total"], row["sortable"], row["candidates"], row["states"]) == (203, SORTABLE_COUNTS[3], 13, 7)
 
 
 def test_census_order_zero(capsys):
