@@ -26,7 +26,7 @@ from math import comb
 from typing import Callable, Iterator, Sequence
 
 from .core import PartitionDiagram, _permutation, _rgs_strings, enumerate_diagrams, format_diagram
-from .sorting import Block, _split, sort_diagram, sort_word
+from .sorting import Block, Item, _items, _split, sort_diagram, sort_word
 from .stretch import is_stretch_of_identity
 
 __all__ = [
@@ -83,25 +83,19 @@ def is_sss_direct(diagram: PartitionDiagram) -> bool:
     return is_stretch_of_identity(sort_diagram(diagram))
 
 
-def _is_interval(mask: int) -> bool:
-    shifted = mask >> ((mask & -mask).bit_length() - 1)
-    return shifted & (shifted + 1) == 0
-
-
-def _first_broken_step(work: list[list[Block]], order: int) -> int:
-    """Split propagating pieces depth first; the first step whose factor order breaks, or 0."""
+def _first_broken_step(work: list[list[Item]], order: int) -> int:
+    """Split pieces of items depth first; the first step whose factor order breaks, or 0."""
     step = 0
     while work:  # all blocks propagate: nonempty pieces split
         step += 1
         _, left, groups, right = _split(work.pop(), order)
-        # Bottoms are disjoint intervals: as integers they order like their least nodes.
+        # Bottoms are disjoint intervals, so start order is bottom mask order.
         reach = 0
         for piece in (left, *groups, right):
             if piece:
-                bottoms = [b for _, b in piece]
-                if min(bottoms) < reach:
+                if piece[0][3] < reach:
                     return step
-                reach = max(bottoms)
+                reach = piece[-1][3]
         work += [p for p in (right, *reversed(groups), left) if p]
     return 0
 
@@ -113,9 +107,10 @@ def _structural_failure(diagram: PartitionDiagram) -> str | None:
             return "non-propagating block"
         if t.bit_count() != b.bit_count():
             return "unequal top and bottom sizes"
-        if not _is_interval(b):
+        if (b + (b & -b)) & b:  # adding the low bit clears an interval
             return "non-interval bottom"
-    step = _first_broken_step([list(diagram.blocks)] if diagram.blocks else [], diagram.order)
+    items = _items(diagram.blocks, diagram.order)
+    step = _first_broken_step([items] if items else [], diagram.order)
     return f"split step {step}: factor order broken" if step else None
 
 
@@ -341,6 +336,6 @@ def count_t_stack_sortable(n: int, t: int) -> int:
     """How many permutations of 1..n become increasing after t sorting passes."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n == 0:
-        return 1
+    if t < 0:
+        raise ValueError("t must be nonnegative")
     return sum(1 for p in permutations(range(1, n + 1)) if is_t_stack_sortable(p, t))

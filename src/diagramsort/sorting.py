@@ -7,9 +7,11 @@ left, across it, and to its right, and reassembles the sorted factors with
 fresh consecutive top labels while every bottom label stays put.  On
 diagrams of permutations it reproduces the word map.
 
-The kernel keeps its state as lists of non-singleton (top_mask,
-bottom_mask) pairs and builds one :class:`PartitionDiagram` per sort;
-:func:`decompose`, :func:`odot_assemble` and trace events are views.
+The kernel orders the non-singleton blocks by extent once, as (start,
+end, top_mask, bottom_mask) items; each piece of the recursion keeps
+that order, so its middle groups form in one pass.  One
+:class:`PartitionDiagram` is built per sort; :func:`decompose`,
+:func:`odot_assemble` and trace events are mask-list views.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ __all__ = [
 ]
 
 Block = tuple[int, int]
+Item = tuple[int, int, int, int]  # see _items
 # (chosen, left, middle_groups, right) of one split step, as mask lists.
 Split = tuple[Block, list[Block], list[list[Block]], list[Block]]
 
@@ -107,97 +110,98 @@ class TraceEvent:
     assignment: Mapping[frozenset[int], FactorTag]
 
 
-def _is_singleton(block: tuple[int, int]) -> bool:
+def _is_singleton(block: Block) -> bool:
     t, b = block
     return (t | b).bit_count() == 1 and (t == 0 or b == 0)
 
 
-def _non_singletons(diagram: PartitionDiagram) -> list[Block]:
-    return [blk for blk in diagram.blocks if not _is_singleton(blk)]
+def _items(blocks: Iterable[Block], order: int) -> list[Item]:
+    """Non-singleton blocks as (start, end, top, bottom), sorted by start.
 
-
-def _group_middle(blocks: list[tuple[int, int]], order: int) -> list[list[tuple[int, int]]]:
-    """Group straddling blocks whose extents intersect; order groups by least node.
-
-    The extent of a block is the interval its nodes span in the order
-    1' < 2' < ... < n' < 1 < 2 < ... < n.  Blocks are related when extents
-    intersect, and groups are the connected components of that relation.
+    [start, end] is the extent in 1' < ... < n' < 1 < ... < n, from 1;
+    disjoint blocks never share a start.
     """
-    if len(blocks) < 2:
-        return [blocks] if blocks else []
     items = []
-    for blk in blocks:
-        t, b = blk
-        lo = (b & -b).bit_length() if b else order + (t & -t).bit_length()
-        hi = order + t.bit_length() if t else b.bit_length()
-        items.append((lo, hi, blk))
-    items.sort(key=lambda x: x[0])  # disjoint blocks: least nodes never tie
-    groups: list[list[tuple[int, int]]] = []
-    reach = -1
-    for lo, hi, blk in items:
-        if not groups or lo > reach:
-            groups.append([])
-            reach = hi
-        else:
-            reach = max(reach, hi)
-        groups[-1].append(blk)
-    return groups
+    for t, b in blocks:
+        if t and b or (t | b) & ((t | b) - 1):
+            start = (b & -b).bit_length() if b else order + (t & -t).bit_length()
+            items.append((start, order + t.bit_length() if t else b.bit_length(), t, b))
+    items.sort()
+    return items
 
 
-def _split(blocks: list[Block], order: int) -> Split | None:
-    """:func:`decompose` on non-singleton blocks, as mask lists; None if none propagates.
+def _masks(split: tuple) -> Split:
+    chosen, left, groups, right = split
+    strip = lambda p: [blk[2:] for blk in p]
+    return chosen[2:], strip(left), [strip(g) for g in groups], strip(right)
 
-    Left and right keep the input's block order.
+
+def _split(piece: list[Item], order: int) -> tuple | None:
+    """:func:`decompose` on a piece of items sorted by start; None if none propagates.
+
+    Left, right and the middle keep the piece's order, so one pass groups
+    the middle: a block starting past every end so far opens a group.
     """
-    chosen = None
-    for blk in blocks:
+    chosen, best = None, 0
+    for blk in piece:
         # Bottom masks are disjoint, so the larger one holds the larger node.
-        if blk[0] and blk[1] and (chosen is None or blk[1] > chosen[1]):
-            chosen = blk
+        if blk[3] > best and blk[2]:
+            chosen, best = blk, blk[3]
     if chosen is None:
         return None
-    t_first, b_first = chosen[0] & -chosen[0], chosen[1] & -chosen[1]
-    t_upto, b_upto = (1 << chosen[0].bit_length()) - 1, (1 << chosen[1].bit_length()) - 1
-    left: list[Block] = []
-    middle: list[Block] = []
-    right: list[Block] = []
-    for blk in blocks:
-        if blk is chosen:
-            continue
-        t, b = blk
-        mask, first, upto = (t, t_first, t_upto) if t else (b, b_first, b_upto)
-        if mask < first:
+    t_first, b_first = chosen[2] & -chosen[2], best & -best
+    t_upto, b_upto = (1 << chosen[2].bit_length()) - 1, (1 << best.bit_length()) - 1
+    left, groups, right = [], [], []
+    reach = 0
+    for blk in piece:
+        start, end, t, b = blk
+        if t:
+            if t < t_first:
+                left.append(blk)
+                continue
+            if not t & t_upto:
+                right.append(blk)
+                continue
+        elif b < b_first:
             left.append(blk)
-        elif not mask & upto:
+            continue
+        elif not b & b_upto:
             right.append(blk)
-        else:
-            middle.append(blk)
-    return chosen, left, _group_middle(middle, order), right
+            continue
+        if blk is not chosen:
+            if start > reach:
+                groups.append([blk])
+            else:
+                groups[-1].append(blk)
+            if end > reach:
+                reach = end
+    return chosen, left, groups, right
 
 
 def _expand(diagram: PartitionDiagram, steps: list[Split] | None = None) -> list[Block]:
     """Run the split recursion depth first; return the non-singleton blocks in walk order.
 
     Factors come out as left, middle groups, right, then the chosen block;
-    a factor without a propagating block is a leaf.  The result lists each
-    chosen block as it pops and each leaf's blocks as they stand (top-only
-    blocks by least top node, an order every split keeps).  Empty pieces
-    are skipped.  Splits are appended to ``steps`` when given.
+    a factor without a propagating block is a leaf.  Pieces keep the
+    extent order of :func:`_items`.  The result lists each chosen block as
+    it pops and each leaf's blocks in that order (top-only ones by least
+    top node).  Empty pieces are skipped.  Splits are appended to
+    ``steps`` as mask lists when given.
     """
     out: list[Block] = []
     order = diagram.order
-    work: list[list[Block] | Block] = [_non_singletons(diagram)]
+    work: list = [_items(diagram.blocks, order)]
     while work:
         item = work.pop()
         if isinstance(item, tuple):  # a chosen block, never split again
-            out.append(item)
+            out.append(item[2:])
             continue
         split = _split(item, order)
         if split is None:
-            out += item
+            out += [blk[2:] for blk in item]
             continue
         if steps is not None:
-            steps.append(split)
+            steps.append(_masks(split))
         chosen, left, groups, right = split
         work += [p for p in (chosen, right, *reversed(groups), left) if p]  # left pops first
     return out
@@ -233,10 +237,10 @@ def decompose(diagram: PartitionDiagram) -> Decomposition:
     nodes, and whatever straddles goes to the middle.
     """
     n = diagram.order
-    split = _split(_non_singletons(diagram), n)
+    split = _split(_items(diagram.blocks, n), n)
     if split is None:
         raise ValueError("diagram has no propagating block")
-    chosen, left, groups, right = split
+    chosen, left, groups, right = _masks(split)
     pad = lambda blks: PartitionDiagram(n, _pad_blocks(blks, n))
     return Decomposition(_signed(chosen), pad(left), tuple(map(pad, groups)), pad(right), pad([chosen]))
 
@@ -261,7 +265,7 @@ def odot_assemble(factors: Iterable[PartitionDiagram], order: int) -> PartitionD
         if p > 1 or (p == 1 and any(not _is_singleton(b) for b in f.blocks if not (b[0] and b[1]))):
             raise ValueError("factor must be non-propagating or one propagating block plus singletons")
     # canonical block order already lists top-row blocks by least top node
-    return _assemble(order, [blk for f in fs for blk in _non_singletons(f)])
+    return _assemble(order, [blk for f in fs for blk in f.blocks if not _is_singleton(blk)])
 
 
 def _event(split: Split, order: int) -> TraceEvent:

@@ -28,7 +28,7 @@ from .core import (
     identity_diagram,
     parse_diagram,
 )
-from .sorting import sort_diagram, sort_word
+from .sorting import _items, sort_diagram, sort_word
 from .stretch import SetComposition, is_stretch_of_identity, stretch_map
 from .analysis import (
     _bell,
@@ -204,7 +204,7 @@ def _count_sortable(args: tuple[int, tuple[int, ...]]) -> tuple[int, int]:
         nonlocal candidates, sortable
         if j == len(sizes):
             candidates += 1
-            sortable += not _first_broken_step([p for p in pieces if p], order)
+            sortable += not _first_broken_step([_items(p, order) for p in pieces if p], order)
             return
         for top in _subsets(free, sizes[j]):
             cls = 0 if top < first else 2 if not top & upto else 1

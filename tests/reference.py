@@ -1,10 +1,11 @@
 """Slow oracles written from the definitions, plus input generators.
 
-Nothing here reuses the library's kernels: the diagram sort recurses on
-blocks held as frozensets of signed nodes (+i top, -i bottom),
-composition walks the stacked 3n-node graph, and the stretch inflates
-signed-node sets and pads them with ``delta_k``.  The recursive L n R
-word sort is ``diagramsort.verification._sort_word_by_definition``.
+Nothing here reuses the library's kernels: the diagram sort and the
+structural sortability test recurse on blocks held as frozensets of
+signed nodes (+i top, -i bottom), composition walks the stacked 3n-node
+graph, and the stretch inflates signed-node sets and pads them with
+``delta_k``.  The recursive L n R word sort is
+``diagramsort.verification._sort_word_by_definition``.
 """
 
 from __future__ import annotations
@@ -46,11 +47,11 @@ def _middle_groups(blocks, n):
     return [g for g, _, _ in sorted(groups, key=lambda g: g[1])]
 
 
-def _factors(blocks, n):
-    """Factor list: a leaf (list of blocks, none propagating) or a chosen block."""
+def _split_by_definition(blocks, n):
+    """(chosen, left, middle groups, right), or None when no block propagates."""
     props = [blk for blk in blocks if _tops(blk) and _bottoms(blk)]
     if not props:
-        return [blocks]
+        return None
     chosen = max(props, key=lambda blk: max(_bottoms(blk)))
     left, middle, right = [], [], []
     for blk in blocks:
@@ -63,10 +64,19 @@ def _factors(blocks, n):
             right.append(blk)
         else:
             middle.append(blk)
-    out = _factors(left, n)
-    for group in _middle_groups(middle, n):
-        out += _factors(group, n)
-    return out + _factors(right, n) + [chosen]
+    return chosen, left, _middle_groups(middle, n), right
+
+
+def _factors(blocks, n):
+    """Factor list: a leaf (list of blocks, none propagating) or a chosen block."""
+    split = _split_by_definition(blocks, n)
+    if split is None:
+        return [blocks]
+    chosen, left, groups, right = split
+    out = []
+    for piece in (left, *groups, right):
+        out += _factors(piece, n)
+    return out + [chosen]
 
 
 def sort_diagram_by_definition(diagram: PartitionDiagram) -> PartitionDiagram:
@@ -95,6 +105,42 @@ def sort_diagram_by_definition(diagram: PartitionDiagram) -> PartitionDiagram:
         next_top += width
     out += [blk for blk in leaves if not _tops(blk)]
     return canonicalize(out, n)
+
+
+def structural_failure_by_definition(diagram: PartitionDiagram) -> str | None:
+    """The first structural sortability condition a diagram breaks, or None.
+
+    Blocks are checked in canonical order (top-row blocks by least top
+    node, then the rest by least bottom node), each for: propagating,
+    equal top and bottom sizes, consecutive bottom indices.  Then the
+    split recursion is walked depth first, nonempty factors left,
+    middle groups, right; step k breaks when a factor's least bottom
+    node lies below the greatest bottom node of the factor before it.
+    """
+    n = diagram.order
+    canonical = lambda blk: (0, min(_tops(blk))) if _tops(blk) else (1, min(_bottoms(blk)))
+    blocks = sorted(diagram.block_sets(), key=canonical)
+    for blk in blocks:
+        tops, bottoms = _tops(blk), _bottoms(blk)
+        if not (tops and bottoms):
+            return "non-propagating block"
+        if len(tops) != len(bottoms):
+            return "unequal top and bottom sizes"
+        if max(bottoms) - min(bottoms) + 1 != len(bottoms):
+            return "non-interval bottom"
+    step = 0
+
+    def broken(piece) -> bool:
+        nonlocal step
+        step += 1
+        _, left, groups, right = _split_by_definition(piece, n)
+        factors = [f for f in (left, *groups, right) if f]
+        nodes = [set().union(*map(_bottoms, f)) for f in factors]
+        if any(min(b) < max(a) for a, b in zip(nodes, nodes[1:])):
+            return True
+        return any(broken(f) for f in factors)
+
+    return f"split step {step}: factor order broken" if blocks and broken(blocks) else None
 
 
 def compose_by_graph_walk(d1: PartitionDiagram, d2: PartitionDiagram) -> tuple[PartitionDiagram, int]:

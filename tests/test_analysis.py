@@ -14,6 +14,7 @@ import diagramsort.analysis as analysis_module
 from diagramsort.analysis import (
     CensusRow,
     VerificationError,
+    _structural_failure,
     census_stretch_sortable,
     contains_231,
     count_t_stack_sortable,
@@ -26,6 +27,7 @@ from diagramsort.core import (
     canonicalize,
     embed_permutation,
     enumerate_diagrams,
+    format_diagram,
     identity_diagram,
     parse_diagram,
 )
@@ -39,7 +41,7 @@ from diagramsort.verification import (
     _check_restriction,
     _count_sortable,
 )
-from reference import structural_candidate
+from reference import structural_candidate, structural_failure_by_definition
 
 # Ordered Bell (Fubini) numbers, OEIS A000670: structural candidates per order 0..6.
 FUBINI = [1, 1, 3, 13, 75, 541, 4683]
@@ -88,6 +90,9 @@ def test_t_sortable_rejects_bad_input():
         is_t_stack_sortable((2, 2), 1)
     with pytest.raises(ValueError):
         is_t_stack_sortable((1, 2), -1)
+    for n in (0, 3):  # n = 0 too, where no pass runs
+        with pytest.raises(ValueError, match="t must be nonnegative"):
+            count_t_stack_sortable(n, -1)
 
 
 def test_knuth_equivalence():
@@ -120,6 +125,7 @@ def test_spot_counts():
     assert count_t_stack_sortable(4, 1) == 14
     assert count_t_stack_sortable(4, 2) == 22
     assert count_t_stack_sortable(1, 1) == 1
+    assert count_t_stack_sortable(0, 0) == count_t_stack_sortable(0, 3) == 1
 
 
 # --- sortability predicates ------------------------------------------------
@@ -182,6 +188,24 @@ def test_predicates_agree_on_structural_candidates():
                 seen.add(direct)
     assert verdicts["avoid"] == {True}
     assert verdicts["scatter"] == verdicts["swap"] == {True, False}
+
+
+def test_structural_failure_matches_reference():
+    # The code reads each factor's first and last bottom, which holds only
+    # because every piece is in least-bottom order; the reference takes the
+    # min and max of the factor's bottom nodes.
+    for n in range(5):
+        for d in enumerate_diagrams(n):
+            assert _structural_failure(d) == structural_failure_by_definition(d), format_diagram(d)
+    rng = random.Random(5)
+    steps = set()
+    for mode in ("scatter", "avoid", "swap"):
+        for n in range(5, 65):
+            d = structural_candidate(rng, n, mode)
+            reason = _structural_failure(d)
+            assert reason == structural_failure_by_definition(d), format_diagram(d)
+            steps.add(reason and int(reason.split()[2][:-1]))
+    assert {None, 1} < steps and max(steps - {None}) > 2  # later steps break too
 
 
 def test_restriction_to_permutations():

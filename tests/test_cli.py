@@ -146,6 +146,9 @@ def test_count_sortable(capsys):
     assert capsys.readouterr().out == "14\n"
     assert run(["count-sortable", "--n", "4", "--t", "2"]) == 0
     assert capsys.readouterr().out == "22\n"
+    for n in ("0", "3"):
+        assert run(["count-sortable", "--n", n, "--t", "-1"]) == 1
+        assert "t must be nonnegative" in capsys.readouterr().err
 
 
 def test_render_emits_dot(capsys):

@@ -10,7 +10,7 @@ from hypothesis import given
 
 import diagramsort.sorting as sorting_module
 from conftest import diagrams, random_diagram
-from reference import sort_diagram_by_definition, structural_candidate
+from reference import sort_diagram_by_definition, sparse_diagram, structural_candidate
 from diagramsort.core import (
     PartitionDiagram,
     canonicalize,
@@ -242,6 +242,17 @@ def test_sort_matches_reference_seeded_larger_orders():
         for n in range(5, 41, 5):
             d = structural_candidate(rng, n, mode)
             assert sort_diagram(d) == sort_diagram_by_definition(d), format_diagram(d)
+    # Shaped like the benchmark's large sorts: about 2 sqrt(n) blocks, each
+    # spanning most of both rows, so middle groups split into middle groups.
+    for n in (64, 128, 256):
+        for _ in range(2):
+            d = sparse_diagram(rng, n, round(2 * n**0.5))
+            assert sort_diagram(d) == sort_diagram_by_definition(d), format_diagram(d)
+    word = list(range(1, 201))
+    rng.shuffle(word)
+    for w in (word, range(200, 0, -1)):
+        d = embed_permutation(w)
+        assert sort_diagram(d) == sort_diagram_by_definition(d)
 
 
 def test_sort_builds_only_the_result_diagram(monkeypatch):
