@@ -35,7 +35,7 @@ for n in range(13):
     row = census_stretch_sortable(n)
     print(f"{row.n}\t{row.total}\t{row.candidates}\t{row.sortable}\t{row.states}")
 oracle = census_stretch_sortable(4, check=True)
-print(f"brute-force oracle at order 4: {oracle.sortable} of {oracle.candidates} diagrams sorted")
+print(f"brute-force oracle at order 4: {oracle.sortable} of {oracle.total} diagrams sorted")
 
 # For comparison, the classical counts on permutations alone: sortable in
 # one pass (Catalan) and in two passes.

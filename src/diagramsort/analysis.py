@@ -10,9 +10,10 @@ labels.
 A stretched identity has equal top and bottom sets in every block, and
 the sort keeps each block's sizes, never moves a bottom label and gives
 each propagating block consecutive top labels, so only diagrams of the
-right block shapes can be sortable.  The census counts these structural
-candidates, Fubini(n) of the Bell(2n) diagrams, by a recursion on packed
-words that builds none of them; ``check`` sorts all Bell(2n) as the oracle.
+right block shapes can be sortable.  The census counts the sortable
+structural candidates, Fubini(n) of the Bell(2n) diagrams, by a recursion
+on packed words that builds none of them; ``check`` sorts all Bell(2n) as
+the oracle and counts diagrams, candidates and sortable ones again.
 The counts are computed here, not quoted from any published table.
 """
 
@@ -20,10 +21,9 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import permutations
 from math import comb
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .core import PartitionDiagram, _permutation, _rgs_strings, enumerate_diagrams, format_diagram
 from .sorting import Block, Item, _items, _split, sort_diagram, sort_word
@@ -100,15 +100,23 @@ def _first_broken_step(work: list[list[Item]], order: int) -> int:
     return 0
 
 
-def _structural_failure(diagram: PartitionDiagram) -> str | None:
-    """The first structural condition broken, or None; step k is line k of ``sort --trace``."""
-    for t, b in diagram.blocks:
+def _shape_fault(blocks: Iterable[Block]) -> str | None:
+    """The first block shape no structural candidate has, or None."""
+    for t, b in blocks:
         if not (t and b):
             return "non-propagating block"
         if t.bit_count() != b.bit_count():
             return "unequal top and bottom sizes"
         if (b + (b & -b)) & b:  # adding the low bit clears an interval
             return "non-interval bottom"
+    return None
+
+
+def _structural_failure(diagram: PartitionDiagram) -> str | None:
+    """The first structural condition broken, or None; step k is line k of ``sort --trace``."""
+    fault = _shape_fault(diagram.blocks)
+    if fault:
+        return fault
     items = _items(diagram.blocks, diagram.order)
     step = _first_broken_step([items] if items else [], diagram.order)
     return f"split step {step}: factor order broken" if step else None
@@ -126,13 +134,11 @@ def is_sss_theorem(diagram: PartitionDiagram) -> bool:
     return _structural_failure(diagram) is None
 
 
-@dataclass(frozen=True)
-class CensusRow:
+class CensusRow(NamedTuple):
     """One census result: all diagrams of the order versus sortable ones.
 
     ``candidates``: the structural candidates, Fubini(n); ``states``: the
-    memo states the recursion filled.  Under ``check`` the row reports
-    the oracle: all ``total`` diagrams sorted, no states.
+    memo states the recursion filled.  ``check`` changes only ``elapsed``.
     """
 
     n: int
@@ -153,43 +159,6 @@ def _bell(m: int) -> int:
             nxt.append(nxt[-1] + x)
         row = nxt
     return row[0]
-
-
-def _compositions(n: int) -> Iterator[tuple[int, ...]]:
-    """Every sequence of positive parts summing to n; 2^(n-1) of them for n >= 1."""
-    if n == 0:
-        yield ()
-        return
-    for first in range(1, n + 1):
-        for rest in _compositions(n - first):
-            yield (first, *rest)
-
-
-def _subsets(mask: int, size: int) -> list[int]:
-    """Every submask of ``mask`` with ``size`` bits."""
-    bits = []
-    while mask:
-        bits.append(mask & -mask)
-        mask ^= bits[-1]
-    return [sum(c) for c in combinations(bits, size)]
-
-
-def _candidates(order: int, sizes: tuple[int, ...]) -> Iterator[list[Block]]:
-    """Every structural candidate with bottom intervals of these sizes, left to right.
-
-    Each block takes a top set of its bottom's size from the nodes left free.
-    """
-    bottoms = [((1 << size) - 1) << sum(sizes[:j]) for j, size in enumerate(sizes)]
-
-    def assign(j: int, free: int) -> Iterator[list[Block]]:
-        if j == len(sizes):
-            yield []
-            return
-        for top in _subsets(free, sizes[j]):
-            for tail in assign(j + 1, free ^ top):
-                yield [(top, bottoms[j]), *tail]
-
-    return assign(0, (1 << order) - 1)
 
 
 def _count_sss(n: int) -> tuple[int, int]:
@@ -251,21 +220,20 @@ def _count_sss(n: int) -> tuple[int, int]:
     return h(n, 0, 0), len(memo)
 
 
-def _scan(args: tuple[int, tuple[int, ...]]) -> tuple[int, list[PartitionDiagram]]:
-    """Every diagram extending an RGS prefix: (count, sortable ones); both predicates must agree."""
+def _scan(args: tuple[int, tuple[int, ...]]) -> tuple[int, int, int]:
+    """(diagrams, structural candidates, sortable ones) extending an RGS prefix; both predicates must agree."""
     order, prefix = args
-    total = 0
-    sortable = []
+    total = candidates = sortable = 0
     for d in enumerate_diagrams(order, prefix):
         total += 1
+        candidates += _shape_fault(d.blocks) is None
         ok = is_sss_direct(d)
         if ok != is_sss_theorem(d):
             raise VerificationError(
                 f"sortability predicates disagree on {format_diagram(d)} at order {order}"
             )
-        if ok:
-            sortable.append(d)
-    return total, sortable
+        sortable += ok
+    return total, candidates, sortable
 
 
 # The --check oracle starts worker processes only above this many diagrams:
@@ -303,11 +271,12 @@ def census_stretch_sortable(n: int, *, check: bool = False, jobs: int = 1) -> Ce
 
     The count comes from :func:`_count_sss`, which builds no diagram.
     With ``check`` set, every diagram is also sorted and both predicates
-    compared on it; :class:`VerificationError` is raised if they disagree,
-    if the diagrams enumerated are not Bell(2n), if a sortable diagram is
-    not a candidate, or if either count differs.  ``jobs`` > 1 splits that
+    compared on it; :class:`VerificationError` is raised if they disagree
+    or if the diagrams, candidates or sortable ones scanned are not
+    Bell(2n), Fubini(n) and the count (sortable implies candidate, as the
+    structural test rejects every shape fault).  ``jobs`` > 1 splits that
     scan by restricted growth prefix across processes above
-    ``POOL_MIN_CANDIDATES`` diagrams; the counts do not depend on it.
+    ``POOL_MIN_CANDIDATES`` diagrams.  Neither changes the row but ``elapsed``.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -315,21 +284,18 @@ def census_stretch_sortable(n: int, *, check: bool = False, jobs: int = 1) -> Ce
     total, candidates = _bell(2 * n), _fubini(n)
     sortable, states = _count_sss(n)
     if check:
-        structural = {PartitionDiagram(n, b) for sizes in _compositions(n) for b in _candidates(n, sizes)}
         prefixes = _rgs_strings(min(2 * n, 6))  # Bell(6) = 203 chunks
         scans = _map_chunks(_scan, [(n, p) for p in prefixes], jobs, total)
-        found = [d for _, ds in scans for d in ds]
+        diagrams, shaped, found = map(sum, zip(*scans))
         for what, got, want in (
-            ("diagrams, Bell(2n)", sum(t for t, _ in scans), total),
-            ("candidates, Fubini(n) and enumerated", candidates, len(structural)),
-            ("sortable counted, scanned", sortable, len(found)),
-            ("sortable non-candidates", [format_diagram(d) for d in found if d not in structural], []),
+            ("diagrams, Bell(2n)", diagrams, total),
+            ("candidates, Fubini(n)", shaped, candidates),
+            ("sortable counted, scanned", sortable, found),
         ):
             if got != want:
                 raise VerificationError(f"order {n} {what}: {got} != {want}")
-        candidates, states = total, 0  # the row reports the oracle, which sorts every diagram
     elapsed = time.perf_counter() - start
-    return CensusRow(n=n, total=total, sortable=sortable, elapsed=elapsed, candidates=candidates, states=states)
+    return CensusRow(n, total, sortable, elapsed, candidates, states)
 
 
 def count_t_stack_sortable(n: int, t: int) -> int:

@@ -43,19 +43,13 @@ def _format_nodes(nodes: Sequence[int]) -> str:
 
 
 def _trace_line(event: TraceEvent) -> str:
+    """One split step; ``sorting._event`` lists the blocks as L, M1..Mk, R."""
+    columns: dict[str, list[str]] = {"L": []}
+    for block, (kind, group) in event.assignment.items():
+        columns.setdefault(f"M{group}" if group else kind, []).append(_format_nodes(tuple(block)))
+    columns.setdefault("R", [])
     chosen = "{" + ",".join(f"{i}'" for i in sorted(event.bottom)) + "}"
-    groups = max((tag.group for tag in event.assignment.values() if tag.kind == "M"), default=0)
-    columns = [("L", 0)] + [("M", j) for j in range(1, groups + 1)] + [("R", 0)]
-    parts = [f"B={chosen}"]
-    for kind, group in columns:
-        blocks = [
-            _format_nodes(tuple(block))
-            for block, tag in event.assignment.items()
-            if tag.kind == kind and tag.group == group
-        ]
-        label = kind if kind != "M" else f"M{group}"
-        parts.append(f"{label}=[{','.join(blocks)}]")
-    return " ".join(parts)
+    return " ".join([f"B={chosen}", *(f"{label}=[{','.join(blocks)}]" for label, blocks in columns.items())])
 
 
 def _parse_order_range(text: str) -> list[int]:

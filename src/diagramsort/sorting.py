@@ -16,7 +16,6 @@ that order, so its middle groups form in one pass.  One
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .core import (
@@ -78,8 +77,7 @@ class FactorTag(NamedTuple):
     group: int = 0
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     """One splitting step around the chosen propagating block.
 
     ``block`` is the propagating block holding the largest bottom node, as
@@ -97,8 +95,7 @@ class Decomposition:
     padded_block: PartitionDiagram
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     """Record of one decomposition step during a traced sort.
 
     ``bottom`` holds the bottom indices of the chosen block.

@@ -54,9 +54,13 @@ class SetComposition:
             if not chunk:
                 raise ValueError("empty part in set composition text")
             try:
-                parts.append([int(tok) for tok in chunk.split(",")])
+                part = [int(tok) for tok in chunk.split(",")]
             except ValueError:
                 raise ValueError(f"bad part {chunk!r} in set composition text") from None
+            if len(set(part)) != len(part):
+                repeated = next(x for i, x in enumerate(part) if x in part[:i])
+                raise ValueError(f"repeated integer {repeated} in part {chunk!r} of set composition text")
+            parts.append(part)
         return cls(parts)
 
     @property

@@ -13,10 +13,9 @@ from __future__ import annotations
 import random
 import time
 from collections import Counter
-from dataclasses import dataclass
 from itertools import combinations, permutations
 from math import comb, factorial
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .core import (
     PartitionDiagram,
@@ -28,15 +27,12 @@ from .core import (
     identity_diagram,
     parse_diagram,
 )
-from .sorting import _items, sort_diagram, sort_word
+from .sorting import Block, _items, sort_diagram, sort_word
 from .stretch import SetComposition, is_stretch_of_identity, stretch_map
 from .analysis import (
     _bell,
-    _candidates,
-    _compositions,
     _count_sss,
     _first_broken_step,
-    _subsets,
     census_stretch_sortable,
     contains_231,
     count_t_stack_sortable,
@@ -57,8 +53,7 @@ SORTABLE_COUNTS = {
 }
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     ok: bool
     detail: str
@@ -175,8 +170,45 @@ def _check_two_stack_counts() -> str:
 def _check_predicates_agree(deep: bool) -> str:
     """The census oracle compares both predicates on every diagram."""
     top = 5 if deep else 4
-    total = sum(census_stretch_sortable(n, check=True).candidates for n in range(top + 1))
+    total = sum(census_stretch_sortable(n, check=True).total for n in range(top + 1))
     return f"{total} diagrams, n <= {top}"
+
+
+def _compositions(n: int) -> Iterator[tuple[int, ...]]:
+    """Every sequence of positive parts summing to n; 2^(n-1) of them for n >= 1."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(1, n + 1):
+        for rest in _compositions(n - first):
+            yield (first, *rest)
+
+
+def _subsets(mask: int, size: int) -> list[int]:
+    """Every submask of ``mask`` with ``size`` bits."""
+    bits = []
+    while mask:
+        bits.append(mask & -mask)
+        mask ^= bits[-1]
+    return [sum(c) for c in combinations(bits, size)]
+
+
+def _candidates(order: int, sizes: tuple[int, ...]) -> Iterator[list[Block]]:
+    """Every structural candidate with bottom intervals of these sizes, left to right.
+
+    Each block takes a top set of its bottom's size from the nodes left free.
+    """
+    bottoms = [((1 << size) - 1) << sum(sizes[:j]) for j, size in enumerate(sizes)]
+
+    def assign(j: int, free: int) -> Iterator[list[Block]]:
+        if j == len(sizes):
+            yield []
+            return
+        for top in _subsets(free, sizes[j]):
+            for tail in assign(j + 1, free ^ top):
+                yield [(top, bottoms[j]), *tail]
+
+    return assign(0, (1 << order) - 1)
 
 
 def _count_sortable(args: tuple[int, tuple[int, ...]]) -> tuple[int, int]:

@@ -11,6 +11,7 @@ from math import comb, factorial
 import pytest
 
 import diagramsort.analysis as analysis_module
+import diagramsort.verification as verification_module
 from diagramsort.analysis import (
     CensusRow,
     VerificationError,
@@ -34,11 +35,13 @@ from diagramsort.core import (
 from diagramsort.sorting import sort_diagram_traced
 from diagramsort.verification import (
     SORTABLE_COUNTS,
+    _candidates,
     _check_census_counter,
     _check_knuth_catalan,
     _check_monotone,
     _check_predicates_agree,
     _check_restriction,
+    _compositions,
     _count_sortable,
 )
 from reference import structural_candidate, structural_failure_by_definition
@@ -227,10 +230,9 @@ def test_census_pinned_counts():
         row = census_stretch_sortable(n, check=True)
         assert isinstance(row, CensusRow)
         assert row.sortable == SORTABLE_COUNTS[n]
-        assert row.candidates == row.total
         assert 0 <= row.sortable <= row.total
         pruned = census_stretch_sortable(n)
-        assert (pruned.total, pruned.sortable) == (row.total, row.sortable)
+        assert row._replace(elapsed=0) == pruned._replace(elapsed=0)  # check changes only elapsed
         assert pruned.candidates == FUBINI[n]
 
 
@@ -249,7 +251,7 @@ def test_census_counter_matches_direct_sort_per_composition_deep():
 
 def test_census_recursion_matches_mask_counter():
     for n in range(8):
-        counted = sum(_count_sortable((n, sizes))[1] for sizes in analysis_module._compositions(n))
+        counted = sum(_count_sortable((n, sizes))[1] for sizes in _compositions(n))
         assert analysis_module._count_sss(n)[0] == counted == SORTABLE_COUNTS[n]
 
 
@@ -269,13 +271,10 @@ def test_census_builds_no_diagram(monkeypatch):
 def test_census_parallel_matches_serial(monkeypatch):
     monkeypatch.setattr(analysis_module, "POOL_MIN_CANDIDATES", 0)  # start real workers at every order
     for n in (2, 3):
+        plain = census_stretch_sortable(n)._replace(elapsed=0)
         serial = census_stretch_sortable(n, check=True)
         parallel = census_stretch_sortable(n, check=True, jobs=2)
-        assert (serial.total, serial.sortable, serial.candidates) == (
-            parallel.total,
-            parallel.sortable,
-            parallel.candidates,
-        )
+        assert serial._replace(elapsed=0) == parallel._replace(elapsed=0) == plain
 
 
 def _structural(blocks):
@@ -292,8 +291,8 @@ def _structural(blocks):
 def _candidate_diagrams(n):
     return [
         PartitionDiagram(n, blocks)
-        for sizes in analysis_module._compositions(n)
-        for blocks in analysis_module._candidates(n, sizes)
+        for sizes in _compositions(n)
+        for blocks in _candidates(n, sizes)
     ]
 
 
@@ -329,14 +328,32 @@ def _drop_first_diagram(real):
     return enumerate_diagrams
 
 
-@pytest.mark.parametrize(
-    "name, patch",
-    [("_candidates", _drop_identity), ("enumerate_diagrams", _drop_first_diagram)],
-)
+@pytest.mark.parametrize("name, patch", [("enumerate_diagrams", _drop_first_diagram)])
 def test_census_check_catches_a_missing_diagram(monkeypatch, name, patch):
     monkeypatch.setattr(analysis_module, name, patch(getattr(analysis_module, name)))
     census_stretch_sortable(3)  # the census alone does not notice
     with pytest.raises(VerificationError):
+        census_stretch_sortable(3, check=True)
+
+
+def test_census_counter_catches_a_missing_candidate(monkeypatch):
+    monkeypatch.setattr(verification_module, "_candidates", _drop_identity(_candidates))
+    with pytest.raises(AssertionError, match="counter wrong on bottom sizes"):
+        _check_census_counter(deep=False)
+
+
+def test_census_check_catches_a_miscounting_shape_test(monkeypatch):
+    # A shape test that also faults one unsortable candidate: both predicates still agree on it.
+    target = embed_permutation((2, 3, 1))
+    assert not is_sss_direct(target)
+    real = analysis_module._shape_fault
+
+    def shape_fault(blocks):
+        return real(blocks) or ("non-interval bottom" if blocks == target.blocks else None)
+
+    monkeypatch.setattr(analysis_module, "_shape_fault", shape_fault)
+    assert census_stretch_sortable(3).sortable == SORTABLE_COUNTS[3]  # the census alone does not notice
+    with pytest.raises(VerificationError, match=r"order 3 candidates, Fubini\(n\): 12 != 13"):
         census_stretch_sortable(3, check=True)
 
 
@@ -390,7 +407,7 @@ def test_census_pool_only_above_threshold(monkeypatch):
     census_stretch_sortable(4, check=True, jobs=2)  # the oracle sorts Bell(8) = 4140
     assert started == []
     # Order 5 scanned as empty chunks: only whether a pool starts matters here.
-    monkeypatch.setattr(analysis_module, "_scan", lambda args: (0, []))
+    monkeypatch.setattr(analysis_module, "_scan", lambda args: (0, 0, 0))
     with pytest.raises(VerificationError):
         census_stretch_sortable(5, check=True, jobs=2)
     assert started == [2]

@@ -112,8 +112,10 @@ def test_census_single_order(capsys):
 def test_census_json_rows(capsys):
     assert run(["census", "--n", "1..3", "--json", "--check"]) == 0
     rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    # --check adds the oracle's scan but leaves every field except millis as without it
     assert [(r["n"], r["total"], r["sortable"], r["candidates"], r["states"]) for r in rows] == [
-        (n, total, SORTABLE_COUNTS[n], total, 0) for n, total in ((1, 2), (2, 15), (3, 203))
+        (n, total, SORTABLE_COUNTS[n], candidates, states)
+        for n, total, candidates, states in ((1, 2, 1, 2), (2, 15, 3, 4), (3, 203, 13, 7))
     ]
     assert run(["census", "--n", "3", "--json"]) == 0
     row = json.loads(capsys.readouterr().out)
@@ -185,6 +187,8 @@ def test_verify_smoke(monkeypatch, capsys):
 def test_domain_error_exits_one(capsys):
     assert run(["parse", "--order", "3", "{1,5}"]) == 1
     assert capsys.readouterr().err.startswith("error:")
+    assert run(["stretch", "--alpha", "1,1|2", "--k", "2", "--order", "2", "{1,1'|2,2'}"]) == 1
+    assert capsys.readouterr().err.startswith("error: repeated integer 1")
     assert run(["parse", "--order", "2", "{\u0661,\u0662'}"]) == 1  # Arabic-Indic digits
     assert capsys.readouterr().err.startswith("error: bad node token")
 
@@ -220,3 +224,14 @@ def test_python_dash_m_entry_points(module):
     bad = call("parse", "--order", "1", "{1,5}")
     assert bad.returncode == 1
     assert bad.stderr.startswith("error:")
+
+
+def test_import_loads_no_heavy_modules():
+    # Records are NamedTuples: dataclasses would pull in inspect, ast, dis and tokenize.
+    env = {**os.environ, "PYTHONPATH": str(Path(diagramsort.__file__).resolve().parents[1])}
+    code = (
+        "import sys, diagramsort, diagramsort.cli; "
+        "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n")

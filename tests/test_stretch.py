@@ -39,6 +39,12 @@ def test_set_composition_rejects_bad_parts():
         SetComposition.parse("1,|2")
 
 
+def test_set_composition_text_rejects_a_repeated_integer():
+    with pytest.raises(ValueError, match="repeated integer 3 in part '2,3,3'"):
+        SetComposition.parse("1|2,3,3")
+    assert SetComposition([[1, 1], [2]]) == SetComposition.parse("1|2")  # iterables keep set semantics
+
+
 # --- delta_k ---------------------------------------------------------------
 
 
