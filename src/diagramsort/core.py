@@ -15,14 +15,19 @@ and the parser accepts "-4" as a synonym for "4'".
 Internally a block is a pair of bit masks (top_mask, bottom_mask), bit i-1
 set when index i belongs to the block.  Python integers put no cap on the
 order.  The kernels, the text parser included, work on masks, not node
-lists; the constructor checks validity by OR and sum.
+lists; the constructor checks validity by OR and sum.  The text layer
+shares one grow-only table of node names and their bits (indices up to
+1024): ``format_diagram`` looks names up, and ``parse_diagram`` sums a
+block's name bits, reading token by token only other spellings ("-4",
+"04") and faulty blocks.  ``compose`` maps the middle row to d2's blocks
+once per call; ``algebra_multiply`` does so once per right-hand term.
 Blocks are kept in a canonical order (sorted by least node, all top nodes
 before all bottom nodes), so equal diagrams compare and hash equal.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 __all__ = [
     "PartitionDiagram",
@@ -219,18 +224,28 @@ def compose(d1: PartitionDiagram, d2: PartitionDiagram) -> tuple[PartitionDiagra
     """
     if d1.order != d2.order:
         raise ValueError("diagrams must have the same order")
+    return _compose(d1, d2, _owner(d2))
+
+
+def _owner(d2: PartitionDiagram) -> list[int]:
+    """Middle position -> the index of the d2 block whose top holds it."""
+    owner = [0] * d2.order
+    for j, (t, _) in enumerate(d2.blocks):
+        while t:
+            low = t & -t
+            owner[low.bit_length() - 1] = j
+            t ^= low
+    return owner
+
+
+def _compose(d1: PartitionDiagram, d2: PartitionDiagram, owner: list[int]) -> tuple[PartitionDiagram, int]:
+    """:func:`compose` given ``_owner(d2)``, which ``algebra_multiply`` builds once per right factor."""
     # Union-find over d2's blocks, each root holding its component's outer masks;
     # a d1 block joins the d2 blocks its bottom meets, one step per block met.
     tops = [t for t, _ in d2.blocks]
     up = [0] * len(tops)
     down = [b for _, b in d2.blocks]
     parent = list(range(len(tops)))
-    owner = [0] * d1.order  # middle position -> the d2 block holding it
-    for j, t in enumerate(tops):
-        while t:
-            low = t & -t
-            owner[low.bit_length() - 1] = j
-            t ^= low
     blocks = []
     for t, b in d1.blocks:
         if not b:
@@ -331,6 +346,44 @@ def enumerate_diagrams(order: int, prefix: tuple[int, ...] = ()) -> Iterator[Par
 # diagram; singleton blocks may be omitted and are restored on parse.
 
 
+class _NodeNames(NamedTuple):
+    """Node names for indices 1..capacity and the bit each name stands for.
+
+    ``tops[i]`` is ``"i"`` and ``bottoms[i]`` is ``"i'"`` (index 0 is
+    unused).  ``bits`` maps ``"i"`` to ``1 << (i-1)`` and ``"i'"`` to
+    ``1 << (capacity+i-1)``, so the sum over a block's names holds its
+    top mask below bit ``capacity`` and its bottom mask above.
+    """
+
+    capacity: int
+    tops: list[str]
+    bottoms: list[str]
+    bits: dict[str, int]
+
+
+def _node_names(capacity: int) -> _NodeNames:
+    tops = [str(i) for i in range(capacity + 1)]
+    bottoms = [f"{i}'" for i in range(capacity + 1)]
+    bits = {tops[i]: 1 << (i - 1) for i in range(1, capacity + 1)}
+    bits.update((bottoms[i], 1 << (capacity + i - 1)) for i in range(1, capacity + 1))
+    return _NodeNames(capacity, tops, bottoms, bits)
+
+
+# A bottom bit is an int of about 2*capacity bits, so the table's bytes grow
+# as capacity squared; nodes past this limit are named and read one by one.
+_NAMES_LIMIT = 1024
+_names = _node_names(0)  # grow-only, replaced as a whole
+
+
+def _names_for(order: int) -> _NodeNames:
+    """The shared name table, grown to cover ``order`` (up to the limit)."""
+    global _names
+    names = _names
+    if names.capacity < min(order, _NAMES_LIMIT):
+        names = _names = _node_names(min(max(order, 2 * names.capacity), _NAMES_LIMIT))
+    return names
+
+
 def parse_diagram(text: str, order: int) -> PartitionDiagram:
     """Parse the text form of a diagram at the given order.
 
@@ -342,47 +395,76 @@ def parse_diagram(text: str, order: int) -> PartitionDiagram:
     >>> parse_diagram("{1,2 | 2'}", 2) == parse_diagram("{1,2|1'|2'}", 2)
     True
     """
+    if order < 0:
+        raise ValueError("order must be nonnegative")
     compact = "".join(text.split())
     if not (compact.startswith("{") and compact.endswith("}")):
         raise ValueError("diagram text must be enclosed in braces")
     body = compact[1:-1]
+    capacity, _, _, bits = _names_for(order)
+    full = (1 << min(order, capacity)) - 1
+    rows = full | full << capacity  # the bits of the names of nodes up to the order
+    bit = bits.__getitem__
     blocks = []
     for part in body.split("|") if body else ():
-        if not part:
-            raise ValueError("empty block in diagram text")
         tokens = part.split(",")
-        t = b = 0  # bit i for node i; bit 0 for 0 or past the order
-        for token in tokens:
-            digits = token.removesuffix("'")
-            if digits == token:
-                digits = token.removeprefix("-")
-            if not (digits.isascii() and digits.isdigit()):
-                raise ValueError(f"bad node token {token!r}")
-            i = int(digits)
-            bit = 1 << i if i <= order else 1
-            if digits == token:
-                t |= bit
-            else:
-                b |= bit
-        if (t | b) & 1 or t.bit_count() + b.bit_count() < len(tokens):
-            # canonicalize names the bad or repeated node
-            canonicalize([[-int(x[:-1]) if x.endswith("'") else int(x) for x in tokens]], order)
-        blocks.append((t >> 1, b >> 1))
+        try:
+            s = sum(map(bit, tokens))
+        except KeyError:
+            s = -1  # not a table name; -1 never lies inside rows
+        # Only distinct powers of two sum to as many bits as there are terms.
+        if s | rows == rows and s.bit_count() == len(tokens):
+            blocks.append((s & full, s >> capacity))
+        else:
+            blocks.append(_read_block(part, order))
     return PartitionDiagram(order, _pad_blocks(blocks, order))
+
+
+def _read_block(part: str, order: int) -> tuple[int, int]:
+    """One block's masks read token by token, or the ``ValueError`` naming its fault.
+
+    This is the path for the spellings the name table lacks (``-i``,
+    leading zeros, indices past its capacity) and for every faulty block.
+    """
+    if not part:
+        raise ValueError("empty block in diagram text")
+    tokens = part.split(",")
+    t = b = 0  # bit i for node i; bit 0 for 0 or past the order
+    for token in tokens:
+        digits = token.removesuffix("'")
+        if digits == token:
+            digits = token.removeprefix("-")
+        if not (digits.isascii() and digits.isdigit()):
+            raise ValueError(f"bad node token {token!r}")
+        i = int(digits)
+        bit = 1 << i if i <= order else 1
+        if digits == token:
+            t |= bit
+        else:
+            b |= bit
+    if (t | b) & 1 or t.bit_count() + b.bit_count() < len(tokens):
+        # canonicalize names the bad or repeated node
+        canonicalize([[-int(x[:-1]) if x.endswith("'") else int(x) for x in tokens]], order)
+    return t >> 1, b >> 1
 
 
 def format_diagram(diagram: PartitionDiagram) -> str:
     """Canonical text form; inverse of :func:`parse_diagram` on its output."""
+    order = diagram.order
+    capacity, tops, bottoms, _ = _names_for(order)
+    if order > capacity:  # past the table's limit: name the rest for this call
+        tops = tops + [str(i) for i in range(capacity + 1, order + 1)]
+        bottoms = bottoms + [f"{i}'" for i in range(capacity + 1, order + 1)]
     parts = []
     for t, b in diagram.blocks:
         names = []
         while t:
             low = t & -t
-            names.append(str(low.bit_length()))
+            names.append(tops[low.bit_length()])
             t ^= low
         while b:
             low = b & -b
-            names.append(f"{low.bit_length()}'")
+            names.append(bottoms[low.bit_length()])
             b ^= low
         parts.append(",".join(names))
     return "{" + "|".join(parts) + "}"
@@ -544,9 +626,10 @@ def algebra_multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     if a.order != b.order:
         raise ValueError("elements must have the same order")
     out: dict[PartitionDiagram, XiPoly] = {}
+    right = [(d2, p2, _owner(d2)) for d2, p2 in b.terms.items()]
     for d1, p1 in a.terms.items():
-        for d2, p2 in b.terms.items():
-            composite, middle = compose(d1, d2)
+        for d2, p2, owner in right:
+            composite, middle = _compose(d1, d2, owner)
             contribution = p1 * p2 * XiPoly.xi_power(middle)
             if composite in out:
                 out[composite] = out[composite] + contribution

@@ -35,7 +35,7 @@ class SetComposition:
             if not fs:
                 raise ValueError("parts must be nonempty")
             for x in fs:
-                if not isinstance(x, int) or x < 1:
+                if not isinstance(x, int) or isinstance(x, bool) or x < 1:
                     raise ValueError("parts must contain positive integers")
             if fs & seen:
                 raise ValueError("parts must be pairwise disjoint")

@@ -3,8 +3,9 @@
 Nothing here reuses the library's kernels: the diagram sort and the
 structural sortability test recurse on blocks held as frozensets of
 signed nodes (+i top, -i bottom), composition walks the stacked 3n-node
-graph, and the stretch inflates signed-node sets and pads them with
-``delta_k``.  The recursive L n R word sort is
+graph (the algebra product sums those walks over every term pair), and
+the stretch inflates signed-node sets and pads them with ``delta_k``.
+The recursive L n R word sort is
 ``diagramsort.verification._sort_word_by_definition``.
 """
 
@@ -13,7 +14,7 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
-from diagramsort.core import PartitionDiagram, canonicalize, identity_diagram
+from diagramsort.core import AlgebraElement, PartitionDiagram, XiPoly, canonicalize, identity_diagram
 from diagramsort.stretch import delta_k
 
 
@@ -185,6 +186,25 @@ def compose_by_graph_walk(d1: PartitionDiagram, d2: PartitionDiagram) -> tuple[P
         else:
             middle_only += 1
     return canonicalize(blocks, n), middle_only
+
+
+def algebra_multiply_by_pairs(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
+    """The algebra product summed over every term pair, each composite by the graph walk.
+
+    Coefficients are multiplied out as lists of integers; composites keep
+    the order in which they are first met, d1 outer and d2 inner.
+    """
+    sums: dict[PartitionDiagram, list[int]] = {}
+    for d1, p1 in a.terms.items():
+        for d2, p2 in b.terms.items():
+            composite, middle = compose_by_graph_walk(d1, d2)
+            coeffs = sums.setdefault(composite, [])
+            for i, c1 in enumerate(p1.coeffs):
+                for j, c2 in enumerate(p2.coeffs):
+                    k = i + j + middle
+                    coeffs += [0] * (k + 1 - len(coeffs))
+                    coeffs[k] += c1 * c2
+    return AlgebraElement(a.order, {d: XiPoly(coeffs) for d, coeffs in sums.items()})
 
 
 def stretch_by_nodes(alpha, k: int, diagram: PartitionDiagram) -> PartitionDiagram:

@@ -191,6 +191,10 @@ def test_domain_error_exits_one(capsys):
     assert capsys.readouterr().err.startswith("error: repeated integer 1")
     assert run(["parse", "--order", "2", "{\u0661,\u0662'}"]) == 1  # Arabic-Indic digits
     assert capsys.readouterr().err.startswith("error: bad node token")
+    assert run(["stretch", "--alpha", "True|2", "--k", "2", "--order", "2", "{1,1'|2,2'}"]) == 1
+    assert capsys.readouterr().err.startswith("error: bad part 'True'")  # the text never yields a bool
+    assert run(["parse", "--order", "-1", "{1}"]) == 1
+    assert capsys.readouterr().err == "error: order must be nonnegative\n"
 
 
 def test_usage_error_exits_one(capsys):

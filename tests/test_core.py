@@ -11,7 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import diagrams, random_diagram
-from reference import block_faults, block_walk_fault, compose_by_graph_walk, sparse_diagram, stretched_identity
+from reference import (
+    algebra_multiply_by_pairs,
+    block_faults,
+    block_walk_fault,
+    compose_by_graph_walk,
+    sparse_diagram,
+    stretched_identity,
+)
+from diagramsort import core
 from diagramsort.core import (
     AlgebraElement,
     PartitionDiagram,
@@ -334,6 +342,8 @@ PARSE_REJECTIONS = [
     ("{4|x}", 3, "node index 4 out of range 1..3"),  # the first faulty block wins
     ("{4,x}", 3, "bad node token 'x'"),  # a malformed token wins within a block
     ("{1|1|x}", 3, "bad node token 'x'"),  # overlap only once every block reads well
+    ("{1}", -1, "order must be nonnegative"),
+    ("1,2", -1, "order must be nonnegative"),  # the order is checked before the text
 ]
 
 
@@ -342,6 +352,46 @@ def test_parse_rejects_bad_input():
         with pytest.raises(ValueError) as err:
             parse_diagram(text, order)
         assert (text, str(err.value)) == (text, message)
+
+
+@pytest.fixture
+def fresh_names(monkeypatch):
+    """The text layer's shared name table, emptied for this test."""
+    monkeypatch.setattr(core, "_names", core._node_names(0))
+
+
+def test_parse_rejections_survive_a_larger_table(fresh_names):
+    parse_diagram(format_diagram(random_diagram(random.Random(3), 256)), 256)
+    assert core._names.capacity >= 256
+    test_parse_rejects_bad_input()  # "{4}" at order 3 must still be out of range 1..3
+
+
+def test_round_trips_as_the_table_grows_and_after(fresh_names):
+    rng = random.Random(29)
+    orders = [0, 1, 63, 64, 65, 128, 129, 300, core._NAMES_LIMIT + 9]
+    capacities = []
+    for n in orders + orders[::-1]:
+        for d in (random_diagram(rng, n), sparse_diagram(rng, n, max(1, n // 3)), identity_diagram(n)):
+            assert parse_diagram(format_diagram(d), n) == d
+        capacities.append(core._names.capacity)
+    grown = sorted(set(capacities))
+    assert all(new >= min(2 * old, core._NAMES_LIMIT) for old, new in zip(grown, grown[1:]))
+    assert capacities[-1] == core._NAMES_LIMIT  # capped: the last order is past the limit
+
+
+def test_odd_spellings_equal_canonicalize(fresh_names):
+    """-i, leading zeros and whitespace, read token by token, at any table size."""
+    rng = random.Random(31)
+    top = lambda i: rng.choice([str(i), f"0{i}", f"00{i}"])
+    bottom = lambda i: rng.choice([f"{i}'", f"-{i}", f"0{i}'", f"-0{i}"])
+    space = lambda: rng.choice(["", " ", "\t", "\n"])
+    for n in [1, 5, 64, 200, 3, 2]:
+        d = random_diagram(rng, n)
+        blocks = [sorted(blk) for blk in d.block_sets()]
+        odd = lambda v: space() + (top(v) if v > 0 else bottom(-v)) + space()
+        text = "{" + "|".join(",".join(map(odd, blk)) for blk in blocks) + "}"
+        assert parse_diagram(text, n) == canonicalize(blocks, n) == d
+    assert parse_diagram("{01, -1 | 2,\t02'}", 2) == canonicalize([{1, -1}, {2, -2}], 2)
 
 
 def _scrambled(rng, d):
@@ -432,6 +482,27 @@ def test_algebra_cancellation_removes_zero_terms():
     d = identity_diagram(2)
     zero = AlgebraElement(2, {d: 1}) + AlgebraElement(2, {d: -1})
     assert zero.terms == {}
+
+
+def test_algebra_multiply_matches_pairwise_reference():
+    rng = random.Random(43)
+    collisions = middles = 0
+    for _ in range(12):
+        n = rng.randint(3, 128)
+        empty = canonicalize([], n)
+        xs = [sparse_diagram(rng, n, rng.randint(n // 2, n)), random_diagram(rng, n), stretched_identity(rng, n)]
+        xs.append(compose(xs[0], empty)[0])  # times the empty diagram, it repeats xs[0]'s composite
+        ys = [empty, sparse_diagram(rng, n, n), stretched_identity(rng, n)]
+        coeff = lambda: XiPoly([rng.randint(-3, 3) for _ in range(rng.randint(1, 3))]) or 1
+        a = AlgebraElement(n, {x: coeff() for x in xs})
+        b = AlgebraElement(n, {y: coeff() for y in ys})
+        product, expected = algebra_multiply(a, b), algebra_multiply_by_pairs(a, b)
+        assert product == expected
+        assert list(product.terms) == list(expected.terms)  # first met, d1 outer and d2 inner
+        pairs = [compose_by_graph_walk(x, y) for x in a.terms for y in b.terms]
+        collisions += len(pairs) - len({c for c, _ in pairs})
+        middles += sum(m > 0 for _, m in pairs)
+    assert collisions > 0 and middles > 0
 
 
 def test_algebra_rejects_order_mismatch():

@@ -45,6 +45,15 @@ def test_set_composition_text_rejects_a_repeated_integer():
     assert SetComposition([[1, 1], [2]]) == SetComposition.parse("1|2")  # iterables keep set semantics
 
 
+def test_set_composition_rejects_bools():
+    # True == 1 and False == 0 as ints, but a bool is not an index.
+    for parts in ([[True], [2]], [[1, False]], [[2], [3, True]]):
+        with pytest.raises(ValueError, match="^parts must contain positive integers$"):
+            SetComposition(parts)
+    with pytest.raises(ValueError, match="^parts must contain positive integers$"):
+        stretch_map([[True], [2]], 2, identity_diagram(2))
+
+
 # --- delta_k ---------------------------------------------------------------
 
 
