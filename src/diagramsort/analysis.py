@@ -3,9 +3,9 @@
 A diagram is stretch-stack-sortable when its stack-sorting image is a
 stretch of an identity diagram.  The direct test sorts and inspects the
 image.  The equivalent structural test builds no image: it checks block
-shapes, then streams through the split recursion and stops at the first
-step that puts a block in an earlier factor than one with smaller bottom
-labels.
+shapes, then walks the sort's split tree and stops at the first step
+that puts a block in an earlier factor than one with smaller bottom
+labels, comparing each factor's bottoms as one mask.
 
 A stretched identity has equal top and bottom sets in every block, and
 the sort keeps each block's sizes, never moves a bottom label and gives
@@ -21,12 +21,12 @@ from __future__ import annotations
 
 import os
 import time
-from itertools import permutations
+from itertools import accumulate, permutations
 from math import comb
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .core import PartitionDiagram, _permutation, _rgs_strings, enumerate_diagrams, format_diagram
-from .sorting import Block, Item, _items, _split, sort_diagram, sort_word
+from .sorting import Block, Item, Piece, _bottom, _walk, sort_diagram, sort_word
 from .stretch import is_stretch_of_identity
 
 __all__ = [
@@ -83,42 +83,68 @@ def is_sss_direct(diagram: PartitionDiagram) -> bool:
     return is_stretch_of_identity(sort_diagram(diagram))
 
 
-def _first_broken_step(work: list[list[Item]], order: int) -> int:
-    """Split pieces of items depth first; the first step whose factor order breaks, or 0."""
-    step = 0
-    while work:  # all blocks propagate: nonempty pieces split
-        step += 1
-        _, left, groups, right = _split(work.pop(), order)
-        # Bottoms are disjoint intervals, so start order is bottom mask order.
-        reach = 0
-        for piece in (left, *groups, right):
-            if piece:
-                if piece[0][3] < reach:
-                    return step
-                reach = piece[-1][3]
-        work += [p for p in (right, *reversed(groups), left) if p]
-    return 0
+def _broken(chosen: Item, left: Piece | None, groups: list[Piece], right: Piece | None) -> bool:
+    """Whether a split puts a factor (left, middle groups, right) before one with smaller bottom labels.
+
+    A factor's blocks have disjoint bottom masks, so their union is their
+    sum, and a subtree's is a difference of its tree's prefix sums.
+    """
+    factors = [piece for piece in (left, *groups, right) if piece]
+    if len(factors) < 2:
+        return False
+    reach = 0
+    for piece in factors:
+        if len(piece) == 2:
+            nodes = sum(map(_bottom, piece[0]))
+        else:
+            tree, _, first, end, _ = piece
+            starts, sums = tree[1], tree[7]
+            if not sums:
+                sums += accumulate(map(_bottom, tree[0]), initial=0)
+            nodes = sums[starts[end]] - sums[starts[first]]
+        if nodes & -nodes < reach:  # its least bottom lies below the factor before
+            return True
+        reach = nodes
+    return False
 
 
-def _shape_fault(blocks: Iterable[Block]) -> str | None:
-    """The first block shape no structural candidate has, or None."""
-    for t, b in blocks:
+def _first_broken_step(items: list[Item]) -> int:
+    """The first split step, in pre-order, whose factor order breaks, or 0; items sorted by least top."""
+    stop = _walk(items, _broken)
+    return stop if type(stop) is int else 0
+
+
+def _candidate_items(blocks: Iterable[Block]) -> str | list[Item]:
+    """The first block shape no structural candidate has, or else the blocks as walk items.
+
+    A candidate's blocks all propagate, so each is an item, built as
+    ``sorting._titems`` builds them, in the same pass as the shape test.
+    """
+    items = []
+    for blk in blocks:
+        t, b = blk
         if not (t and b):
             return "non-propagating block"
         if t.bit_count() != b.bit_count():
             return "unequal top and bottom sizes"
         if (b + (b & -b)) & b:  # adding the low bit clears an interval
             return "non-interval bottom"
-    return None
+        items.append(((t & -t).bit_length(), t.bit_length(), b, blk))
+    return items
+
+
+def _shape_fault(blocks: Iterable[Block]) -> str | None:
+    """The first block shape no structural candidate has, or None."""
+    found = _candidate_items(blocks)
+    return found if type(found) is str else None
 
 
 def _structural_failure(diagram: PartitionDiagram) -> str | None:
     """The first structural condition broken, or None; step k is line k of ``sort --trace``."""
-    fault = _shape_fault(diagram.blocks)
-    if fault:
-        return fault
-    items = _items(diagram.blocks, diagram.order)
-    step = _first_broken_step([items] if items else [], diagram.order)
+    items = _candidate_items(diagram.blocks)
+    if type(items) is str:
+        return items
+    step = _first_broken_step(items)
     return f"split step {step}: factor order broken" if step else None
 
 

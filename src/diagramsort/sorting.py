@@ -7,16 +7,20 @@ left, across it, and to its right, and reassembles the sorted factors with
 fresh consecutive top labels while every bottom label stays put.  On
 diagrams of permutations it reproduces the word map.
 
-The kernel orders the non-singleton blocks by extent once, as (start,
-end, top_mask, bottom_mask) items; each piece of the recursion keeps
-that order, so its middle groups form in one pass.  One
-:class:`PartitionDiagram` is built per sort; :func:`decompose`,
-:func:`odot_assemble` and trace events are mask-list views.
+One walk (:func:`_walk`) makes the splits for the sort, its trace,
+:func:`decompose` and the structural test, over the blocks with top nodes
+in least-top order.  Each piece is swept into top-overlap clusters with a
+Cartesian tree over them, keyed by bottom masks: on a permutation, the
+tree :func:`sort_word`'s stack builds.  A split at a one-block cluster is
+a tree node; only a cluster of several blocks is scanned.  One
+:class:`PartitionDiagram` is built per sort.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from bisect import bisect_right
+from operator import itemgetter
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .core import (
     PartitionDiagram,
@@ -38,7 +42,12 @@ __all__ = [
 ]
 
 Block = tuple[int, int]
-Item = tuple[int, int, int, int]  # see _items
+# A block with top nodes: (least top, largest top, bottom mask, block), tops from 1.
+Item = tuple[int, int, int, Block]
+Tree = tuple  # see _plant
+# A split's factor: (items, bottom-only blocks), or (tree, root, first, end,
+# bottom-only blocks) for the subtree on clusters first..end-1.
+Piece = tuple
 # (chosen, left, middle_groups, right) of one split step, as mask lists.
 Split = tuple[Block, list[Block], list[list[Block]], list[Block]]
 
@@ -112,96 +121,214 @@ def _is_singleton(block: Block) -> bool:
     return (t | b).bit_count() == 1 and (t == 0 or b == 0)
 
 
-def _items(blocks: Iterable[Block], order: int) -> list[Item]:
-    """Non-singleton blocks as (start, end, top, bottom), sorted by start.
+_least_top, _bottom, _block = itemgetter(0), itemgetter(2), itemgetter(3)
 
-    [start, end] is the extent in 1' < ... < n' < 1 < ... < n, from 1;
-    disjoint blocks never share a start.
-    """
+
+def _titems(blocks: Iterable[Block]) -> list[Item]:
+    """The non-singleton blocks with top nodes, as items, in the given order."""
     items = []
-    for t, b in blocks:
-        if t and b or (t | b) & ((t | b) - 1):
-            start = (b & -b).bit_length() if b else order + (t & -t).bit_length()
-            items.append((start, order + t.bit_length() if t else b.bit_length(), t, b))
-    items.sort()
+    for blk in blocks:
+        t, b = blk
+        if t and (b or t & (t - 1)):
+            items.append(((t & -t).bit_length(), t.bit_length(), b, blk))
     return items
 
 
-def _masks(split: tuple) -> Split:
-    chosen, left, groups, right = split
-    strip = lambda p: [blk[2:] for blk in p]
-    return chosen[2:], strip(left), [strip(g) for g in groups], strip(right)
+def _bottom_only(blocks: Iterable[Block]) -> list[Block]:
+    return [blk for blk in blocks if not blk[0] and blk[1] & (blk[1] - 1)]
 
 
-def _split(piece: list[Item], order: int) -> tuple | None:
-    """:func:`decompose` on a piece of items sorted by start; None if none propagates.
+def _plant(items: list[Item]) -> Tree:
+    """(items, starts, keys, tops, left, right, root, sums): the clusters of items sorted by least top.
 
-    Left, right and the middle keep the piece's order, so one pass groups
-    the middle: a block starting past every end so far opens a group.
+    A cluster is a maximal run of items whose [least top, largest top]
+    intervals overlap; ``starts[c]`` is its first item, ``keys[c]`` its
+    largest bottom mask (0 if nothing in it propagates), ``tops[c]`` the
+    item with that mask.  ``left``/``right`` are the children in the
+    Cartesian tree with the largest key at ``root``; ties go to the later
+    cluster, so top-only clusters hang in sequence order.  Every subtree
+    is a range of clusters.  ``sums`` is for the structural test to fill.
     """
-    chosen, best = None, 0
-    for blk in piece:
-        # Bottom masks are disjoint, so the larger one holds the larger node.
-        if blk[3] > best and blk[2]:
-            chosen, best = blk, blk[3]
-    if chosen is None:
-        return None
-    t_first, b_first = chosen[2] & -chosen[2], best & -best
-    t_upto, b_upto = (1 << chosen[2].bit_length()) - 1, (1 << best.bit_length()) - 1
-    left, groups, right = [], [], []
-    reach = 0
-    for blk in piece:
-        start, end, t, b = blk
-        if t:
-            if t < t_first:
-                left.append(blk)
-                continue
-            if not t & t_upto:
-                right.append(blk)
-                continue
-        elif b < b_first:
-            left.append(blk)
+    starts, keys, tops, reach, key, top, j = [], [], [], 0, 0, 0, 0
+    for lo, hi, b, _ in items:
+        if lo > reach:  # a new cluster; record the one before
+            starts.append(j)
+            keys.append(key)
+            tops.append(top)
+            key, top = b, j
+        elif b > key:
+            key, top = b, j
+        if hi > reach:
+            reach = hi
+        j += 1
+    if len(starts) == 1:
+        return items, [0, j], [key], [top], None, None, 0, []
+    keys.append(key)
+    tops.append(top)
+    del keys[0], tops[0]
+    starts.append(j)
+    left, right, stack = [-1] * len(keys), [-1] * len(keys), [0]
+    for c in range(1, len(keys)):
+        key, below = keys[c], -1
+        while stack and keys[stack[-1]] <= key:
+            below = stack.pop()
+        left[c] = below
+        if stack:
+            right[stack[-1]] = c
+        stack.append(c)
+    return items, starts, keys, tops, left, right, stack[0], []
+
+
+def _scan_cluster(items: list[Item], first: int, c: int, end: int) -> tuple[list[Item], list[Item], list[Item]]:
+    """Cluster first..end-1 split into items left of, across and right of C = items[c]'s tops.
+
+    Items after C start past its least top, so the right ones are a
+    suffix, found by bisection.
+    """
+    lo, hi = items[c][0], items[c][1]
+    left, mid = [], []
+    for it in items[first:c]:
+        (left if it[1] < lo else mid).append(it)
+    r = bisect_right(items, hi, c + 1, end, key=_least_top)
+    mid += items[c + 1 : r]
+    return left, mid, items[r:end]
+
+
+def _route(bottoms: list[Block], key: int) -> tuple[list[Block], list[Block], list[Block]]:
+    """Bottom-only blocks strictly left of, across and strictly right of C's bottoms."""
+    first, upto = key & -key, (1 << key.bit_length()) - 1
+    left, mid, right = [], [], []
+    for blk in bottoms:
+        (left if blk[1] < first else right if not blk[1] & upto else mid).append(blk)
+    return left, mid, right
+
+
+def _groups(mid: list[Item], bottoms: list[Block] | None) -> list[Piece]:
+    """The middle groups as pieces: components of overlapping extents in 1' < ... < n' < 1 < ... < n.
+
+    Propagating blocks all reach across n' | 1, so they form one group P
+    with the top-only blocks chained to their tops; other top-only groups
+    follow P.  Bottom-only groups come before P; the last joins it when it
+    reaches P's least bottom, and all after P's least bottom join it.
+    """
+    reach = max([it[1] for it in mid if it[2]], default=0)
+    groups: list[list[Item]] = [[]]
+    for it in mid:
+        if it[2] or it[0] <= reach:
+            groups[-1].append(it)
+        else:
+            groups.append([it])
+        if it[1] > reach:
+            reach = it[1]
+    if bottoms is None:
+        return [(g, None) for g in groups if g]
+    start = min([it[2] & -it[2] for it in groups[0] if it[2]], default=0)  # P's least bottom
+    out, seen, joined = [], 0, []
+    for blk in bottoms:  # by least bottom; a block past every bottom seen opens a group
+        low = blk[1] & -blk[1]
+        if start and low > start:
+            joined.append(blk)
             continue
-        elif not b & b_upto:
-            right.append(blk)
-            continue
-        if blk is not chosen:
-            if start > reach:
-                groups.append([blk])
-            else:
-                groups[-1].append(blk)
-            if end > reach:
-                reach = end
-    return chosen, left, groups, right
+        if low > seen:
+            out.append(([], [blk]))
+        else:
+            out[-1][1].append(blk)
+        seen |= blk[1]
+    if start:
+        if out and start < seen:
+            joined = out.pop()[1] + joined
+        out.append((groups[0], joined))
+    return out + [(g, []) for g in groups[1:]]
 
 
-def _expand(diagram: PartitionDiagram, steps: list[Split] | None = None) -> list[Block]:
-    """Run the split recursion depth first; return the non-singleton blocks in walk order.
+def _walk(items: list[Item], step: Callable[..., bool] | None = None, bottoms: list[Block] | None = None) -> list[Block] | int:
+    """Run the split recursion depth first; the blocks with top nodes in walk order.
 
-    Factors come out as left, middle groups, right, then the chosen block;
-    a factor without a propagating block is a leaf.  Pieces keep the
-    extent order of :func:`_items`.  The result lists each chosen block as
-    it pops and each leaf's blocks in that order (top-only ones by least
-    top node).  Empty pieces are skipped.  Splits are appended to
-    ``steps`` as mask lists when given.
+    Factors come out as left, middle groups, right, then the chosen block
+    C, the root of the piece's tree; a factor with no propagating block is
+    a leaf, its blocks by least top.  An item's side depends only on
+    whether its top interval overlaps C's, so when C is alone in its
+    cluster L and R are its subtrees and nothing is in the middle.  A
+    cluster of several items is scanned; what it sends left or right is
+    swept again with the subtree beside it.
+
+    Bottom-only blocks never change the image: they take no top label,
+    are never C, and join or split no group of items, since propagating
+    middle blocks share one group and a bottom-only extent ends at or
+    before n.  So they are routed only when ``bottoms`` (by least bottom)
+    is given.  ``step(chosen, left, groups, right)`` is called on each
+    split in pre-order, C an item and the factors pieces or None; if it
+    returns true, the walk stops and returns the number of that step.
     """
     out: list[Block] = []
-    order = diagram.order
-    work: list = [_items(diagram.blocks, order)]
+    work: list = [(items, bottoms)]
+    steps = 0
     while work:
-        item = work.pop()
-        if isinstance(item, tuple):  # a chosen block, never split again
-            out.append(item[2:])
+        entry = work.pop()
+        size = len(entry)
+        if size == 4:  # a chosen item: its factors are done
+            out.append(entry[3])
             continue
-        split = _split(item, order)
-        if split is None:
-            out += [blk[2:] for blk in item]
+        if size == 2:
+            if not entry[0]:
+                continue
+            tree, bots = _plant(entry[0]), entry[1]
+            i, a, b = tree[6], 0, len(tree[2])
+        else:
+            tree, i, a, b, bots = entry
+        titems, starts, keys, tops, lefts, rights, _, _ = tree
+        key = keys[i]
+        if not key:
+            out += map(_block, titems[starts[a] : starts[b]])
             continue
-        if steps is not None:
-            steps.append(_masks(split))
-        chosen, left, groups, right = split
-        work += [p for p in (chosen, right, *reversed(groups), left) if p]  # left pops first
+        s, e, c = starts[i], starts[i + 1], tops[i]
+        chosen = titems[c]
+        if e - s > 1:
+            lpart, mid, rpart = _scan_cluster(titems, s, c, e)
+        else:
+            lpart = mid = rpart = ()
+        lb = mb = rb = None
+        if bots is not None:
+            lb, mb, rb = _route(bots, key)
+        if lpart:
+            left = (titems[starts[a] : s] + lpart, lb)
+        else:
+            left = (tree, lefts[i], a, i, lb) if a < i else ((), lb) if lb else None
+        if rpart:
+            right = (rpart + titems[e : starts[b]], rb)
+        else:
+            right = (tree, rights[i], i + 1, b, rb) if i + 1 < b else ((), rb) if rb else None
+        if mb is not None or mid and not all(map(_bottom, mid)):
+            groups = _groups(mid, mb)
+        else:  # the middle all propagates and no bottom-only block is routed: one group
+            groups = [(mid, None)] if mid else ()
+        if step is not None:
+            steps += 1
+            if step(chosen, left, groups, right):
+                return steps
+        work.append(chosen)
+        if right:
+            work.append(right)
+        if groups:
+            work += reversed(groups)
+        if left:
+            work.append(left)
     return out
+
+
+def _blocks(piece: Piece | None) -> list[Block]:
+    if piece is None:
+        return []
+    if len(piece) == 2:
+        items, bots = piece
+    else:
+        tree, _, a, b, bots = piece
+        items = tree[0][tree[1][a] : tree[1][b]]
+    return [*map(_block, items), *(bots or ())]
+
+
+def _masks(chosen: Item, left: Piece, groups: Sequence[Piece], right: Piece) -> Split:
+    return chosen[3], _blocks(left), [_blocks(g) for g in groups], _blocks(right)
 
 
 def _assemble(order: int, blocks: list[Block]) -> PartitionDiagram:
@@ -234,10 +361,16 @@ def decompose(diagram: PartitionDiagram) -> Decomposition:
     nodes, and whatever straddles goes to the middle.
     """
     n = diagram.order
-    split = _split(_items(diagram.blocks, n), n)
-    if split is None:
+    first: list[Split] = []
+
+    def stop(*split) -> bool:
+        first.append(_masks(*split))
+        return True
+
+    _walk(_titems(diagram.blocks), stop, _bottom_only(diagram.blocks))
+    if not first:
         raise ValueError("diagram has no propagating block")
-    chosen, left, groups, right = _masks(split)
+    chosen, left, groups, right = first[0]
     pad = lambda blks: PartitionDiagram(n, _pad_blocks(blks, n))
     return Decomposition(_signed(chosen), pad(left), tuple(map(pad, groups)), pad(right), pad([chosen]))
 
@@ -285,7 +418,8 @@ def sort_diagram(diagram: PartitionDiagram) -> PartitionDiagram:
     """
     if diagram.propagation_number() == 0:
         return diagram
-    return _assemble(diagram.order, _expand(diagram))
+    blocks = diagram.blocks
+    return _assemble(diagram.order, _walk(_titems(blocks)) + [blk for blk in blocks if not blk[0]])
 
 
 def sort_diagram_traced(diagram: PartitionDiagram) -> tuple[PartitionDiagram, tuple[TraceEvent, ...]]:
@@ -293,5 +427,7 @@ def sort_diagram_traced(diagram: PartitionDiagram) -> tuple[PartitionDiagram, tu
     if diagram.propagation_number() == 0:
         return diagram, ()
     steps: list[Split] = []
-    result = _assemble(diagram.order, _expand(diagram, steps))
+    bottoms = _bottom_only(diagram.blocks)
+    walked = _walk(_titems(diagram.blocks), lambda *split: steps.append(_masks(*split)), bottoms)
+    result = _assemble(diagram.order, walked + bottoms)
     return result, tuple(_event(step, diagram.order) for step in steps)

@@ -27,7 +27,7 @@ from .core import (
     identity_diagram,
     parse_diagram,
 )
-from .sorting import Block, _items, sort_diagram, sort_word
+from .sorting import Block, _titems, sort_diagram, sort_word
 from .stretch import SetComposition, is_stretch_of_identity, stretch_map
 from .analysis import (
     _bell,
@@ -216,7 +216,7 @@ def _count_sortable(args: tuple[int, tuple[int, ...]]) -> tuple[int, int]:
 
     The recursion's oracle.  The first split chooses C, the block on the
     last bottom interval.  The other blocks take tops in bottom order,
-    classed L, M or R as in ``sorting._split``; a class below the last
+    classed L, M or R as in ``sorting._scan_cluster``; a class below the last
     breaks the first step, so the branch stops and its completions are
     counted.  Survivors' pieces walk on; all blocks propagate, so M is one
     group.
@@ -236,7 +236,7 @@ def _count_sortable(args: tuple[int, tuple[int, ...]]) -> tuple[int, int]:
         nonlocal candidates, sortable
         if j == len(sizes):
             candidates += 1
-            sortable += not _first_broken_step([_items(p, order) for p in pieces if p], order)
+            sortable += not any(_first_broken_step(sorted(_titems(p))) for p in pieces)
             return
         for top in _subsets(free, sizes[j]):
             cls = 0 if top < first else 2 if not top & upto else 1

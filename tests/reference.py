@@ -108,6 +108,31 @@ def sort_diagram_by_definition(diagram: PartitionDiagram) -> PartitionDiagram:
     return canonicalize(out, n)
 
 
+def trace_by_definition(diagram: PartitionDiagram) -> list[tuple[frozenset, dict]]:
+    """The split steps of the sort in pre-order: (bottom indices of C, factor of every other block).
+
+    A factor is ("L", 0), ("M", j) for the j-th middle group, or ("R", 0);
+    pieces without a propagating block make no step.
+    """
+    n = diagram.order
+    events = []
+
+    def walk(piece) -> None:
+        split = _split_by_definition(piece, n)
+        if split is None:
+            return
+        chosen, left, groups, right = split
+        tags = [("L", 0), *(("M", j) for j in range(1, len(groups) + 1)), ("R", 0)]
+        factors = (left, *groups, right)
+        events.append((frozenset(_bottoms(chosen)), {blk: tag for tag, f in zip(tags, factors) for blk in f}))
+        for f in factors:
+            if f:
+                walk(f)
+
+    walk([blk for blk in diagram.block_sets() if len(blk) > 1])
+    return events
+
+
 def structural_failure_by_definition(diagram: PartitionDiagram) -> str | None:
     """The first structural sortability condition a diagram breaks, or None.
 
@@ -344,3 +369,60 @@ def structural_candidate(rng: random.Random, n: int, mode: str) -> PartitionDiag
         blocks.append((((1 << sizes[j]) - 1) << lo, bottoms[j]))
         lo += sizes[j]
     return PartitionDiagram(n, blocks)
+
+
+def chain_diagram(rng: random.Random, n: int, base: str, plant: str | None) -> PartitionDiagram:
+    """A diagram whose split recursion is a chain of one-block clusters, plus one cluster.
+
+    Top i joins bottom n + 1 - i ("decreasing") or bottom i ("increasing"),
+    so no two top intervals overlap and the largest bottoms, the root of
+    the chain, lie at the left or the right end.  Positions 3 and 4 mod 7
+    become a top-only block on their tops and a bottom-only block on their
+    bottoms.  ``plant`` ("root", "middle" or "leaf") deals the 24 nodes of
+    a window of 12 positions out at random to 6 blocks, whose tops
+    interleave into a cluster of several blocks.
+    """
+    w = 12
+    bottom = (lambda i: n - 1 - i) if base == "decreasing" else (lambda i: i)
+    at_root = 0 if base == "decreasing" else n - w
+    start = {None: -n, "root": at_root, "middle": n // 2, "leaf": n - w - at_root}[plant]
+    blocks = []
+    i = 0
+    while i < n:
+        if i == start:
+            tops, bottoms = [0] * (w // 2), [0] * (w // 2)
+            for j in range(i, i + w):
+                tops[rng.randrange(w // 2)] |= 1 << j
+                bottoms[rng.randrange(w // 2)] |= 1 << bottom(j)
+            blocks += [blk for blk in zip(tops, bottoms) if blk != (0, 0)]
+            i += w
+        elif i % 7 == 3 and i + 1 < n and i + 1 != start:
+            blocks += [(3 << i, 0), (0, (1 << bottom(i)) | (1 << bottom(i + 1)))]
+            i += 2
+        else:
+            blocks.append((1 << i, 1 << bottom(i)))
+            i += 1
+    return PartitionDiagram(n, blocks)
+
+
+def stretched_chain(rng: random.Random, sizes: list[int], reverse: bool, scramble: tuple[int, int] | None) -> PartitionDiagram:
+    """A structural candidate whose split recursion is a chain of one-block clusters.
+
+    Block j has the j-th bottom interval of the given sizes and a top
+    interval of the same size; the top intervals run left to right (a
+    stretched identity) or, with ``reverse``, right to left.  ``scramble``
+    = (a, b) deals the top nodes of blocks a..b-1 out again at random,
+    which plants one cluster of several blocks.
+    """
+    n = sum(sizes)
+    starts = [sum(sizes[:j]) for j in range(len(sizes))]
+    bottoms = [((1 << s) - 1) << lo for s, lo in zip(sizes, starts)]
+    tops = [((1 << s) - 1) << (n - lo - s if reverse else lo) for s, lo in zip(sizes, starts)]
+    if scramble:
+        a, b = scramble
+        nodes = [x for j in range(a, b) for x in range(n) if tops[j] >> x & 1]
+        rng.shuffle(nodes)
+        for j in range(a, b):
+            tops[j] = sum(1 << x for x in nodes[: sizes[j]])
+            del nodes[: sizes[j]]
+    return PartitionDiagram(n, list(zip(tops, bottoms)))

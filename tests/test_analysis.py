@@ -5,6 +5,7 @@ from __future__ import annotations
 import concurrent.futures
 import os
 import random
+import sys
 from itertools import combinations, permutations
 from math import comb, factorial
 
@@ -32,7 +33,7 @@ from diagramsort.core import (
     identity_diagram,
     parse_diagram,
 )
-from diagramsort.sorting import sort_diagram_traced
+from diagramsort.sorting import sort_diagram, sort_diagram_traced
 from diagramsort.verification import (
     SORTABLE_COUNTS,
     _candidates,
@@ -44,7 +45,7 @@ from diagramsort.verification import (
     _compositions,
     _count_sortable,
 )
-from reference import structural_candidate, structural_failure_by_definition
+from reference import stretched_chain, structural_candidate, structural_failure_by_definition
 
 # Ordered Bell (Fubini) numbers, OEIS A000670: structural candidates per order 0..6.
 FUBINI = [1, 1, 3, 13, 75, 541, 4683]
@@ -157,22 +158,58 @@ def test_structural_predicate_examples():
 
 def test_structural_test_stops_at_first_broken_step(monkeypatch):
     calls = []
-    real_split = analysis_module._split
+    real_broken = analysis_module._broken
 
-    def counting_split(blocks, order):
-        calls.append(len(blocks))
-        return real_split(blocks, order)
+    def counting_broken(chosen, *factors):
+        calls.append(chosen[3])
+        return real_broken(chosen, *factors)
 
-    monkeypatch.setattr(analysis_module, "_split", counting_split)
-    # The first split puts {1,2'} in L and {3,1'} in R: broken at once.
+    monkeypatch.setattr(analysis_module, "_broken", counting_broken)
+    # The first split chooses {2,3'} and puts {1,2'} in L and {3,1'} in R: broken at once.
     assert not is_sss_theorem(embed_permutation((2, 3, 1)))
-    assert calls == [3]
+    assert calls == [(0b10, 0b100)]
     calls.clear()
     # A stretched identity of order 64 on 16 consecutive intervals.
     cuts = [0, *sorted(random.Random(7).sample(range(1, 64), 15)), 64]
     d = PartitionDiagram(64, [(((1 << (hi - lo)) - 1) << lo,) * 2 for lo, hi in zip(cuts, cuts[1:])])
     assert is_sss_theorem(d)
-    assert 1 < len(calls) == len(sort_diagram_traced(d)[1])  # one call per step, none on empty pieces
+    assert 1 < len(calls) == len(sort_diagram_traced(d)[1])  # one step per trace line, none on empty pieces
+
+
+def test_structural_failure_on_chains():
+    # Stretched chains in both directions, as they are and with a cluster of
+    # several blocks planted at the leaf, in the middle and at the root of the
+    # chain (a stretched identity's root is its last block).
+    rng = random.Random(15)
+    sizes = [rng.randint(1, 3) for _ in range(120)]
+    reasons = set()
+    for reverse in (False, True):
+        for scramble in (None, (0, 8), (56, 64), (112, 120)):
+            d = stretched_chain(rng, sizes, reverse, scramble)
+            reasons.add(reason := _structural_failure(d))
+            assert reason == structural_failure_by_definition(d)
+            assert (reason is None) == is_sss_direct(d)
+    assert None in reasons and len(reasons) > 3
+    # A stretched identity of 1000 blocks sorts to itself.
+    d = stretched_chain(rng, [rng.randint(1, 3) for _ in range(1000)], False, None)
+    assert _structural_failure(d) is None and sort_diagram(d) == d
+
+
+@pytest.mark.skipif(os.environ.get("DIAGRAMSORT_DEEP") != "1", reason="set DIAGRAMSORT_DEEP=1 for chains of 1000 and 2000")
+def test_structural_failure_on_long_chains_matches_reference():
+    # The reference recurses once per chained split.
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(20000)
+    try:
+        rng = random.Random(16)
+        for d in (
+            embed_permutation(range(2000, 0, -1)),
+            embed_permutation(range(1, 2001)),
+            stretched_chain(rng, [rng.randint(1, 3) for _ in range(1000)], False, None),
+        ):
+            assert _structural_failure(d) == structural_failure_by_definition(d) is None
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_predicates_agree_exhaustively():
@@ -194,9 +231,9 @@ def test_predicates_agree_on_structural_candidates():
 
 
 def test_structural_failure_matches_reference():
-    # The code reads each factor's first and last bottom, which holds only
-    # because every piece is in least-bottom order; the reference takes the
-    # min and max of the factor's bottom nodes.
+    # The code compares the sums of each factor's bottom masks, which are its
+    # bottom nodes only because the masks are disjoint; the reference takes
+    # the min and max of the factor's bottom nodes.
     for n in range(5):
         for d in enumerate_diagrams(n):
             assert _structural_failure(d) == structural_failure_by_definition(d), format_diagram(d)

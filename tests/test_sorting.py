@@ -4,13 +4,21 @@ from __future__ import annotations
 
 import os
 import random
+import sys
 
 import pytest
 from hypothesis import given
 
 import diagramsort.sorting as sorting_module
 from conftest import diagrams, random_diagram
-from reference import sort_diagram_by_definition, sparse_diagram, structural_candidate
+from reference import (
+    chain_diagram,
+    sort_diagram_by_definition,
+    sparse_diagram,
+    stretched_chain,
+    structural_candidate,
+    trace_by_definition,
+)
 from diagramsort.core import (
     PartitionDiagram,
     canonicalize,
@@ -270,6 +278,79 @@ def test_sort_builds_only_the_result_diagram(monkeypatch):
         assert len(built) == 1
 
 
+# --- chains: the shapes the walk branches on ------------------------------------
+
+
+def _count_scans(monkeypatch) -> list:
+    """Record every scan of a cluster of several blocks."""
+    scans = []
+    real_scan = sorting_module._scan_cluster
+
+    def counting_scan(*args):
+        scans.append(args)
+        return real_scan(*args)
+
+    monkeypatch.setattr(sorting_module, "_scan_cluster", counting_scan)
+    return scans
+
+
+def test_permutation_chains_never_scan_a_cluster(monkeypatch):
+    scans = _count_scans(monkeypatch)
+    for n in (300, 2000):
+        for word in (tuple(range(n, 0, -1)), tuple(range(1, n + 1))):
+            d = embed_permutation(word)
+            image = sort_diagram(d)
+            assert image == embed_permutation(sort_word(word)) == identity_diagram(n)
+            if n == 300:
+                assert image == sort_diagram_by_definition(d)
+                traced, trace = sort_diagram_traced(d)
+                assert traced == image and len(trace) == n
+    assert scans == []
+
+
+def test_sort_on_planted_chains(monkeypatch):
+    # One-block chains both ways with top-only and bottom-only blocks, and a
+    # cluster of several blocks planted at the root, in the middle or at a leaf.
+    scans = _count_scans(monkeypatch)
+    rng = random.Random(15)
+    for base in ("decreasing", "increasing"):
+        for plant in (None, "root", "middle", "leaf"):
+            scans.clear()
+            d = chain_diagram(rng, 240, base, plant)
+            image = sort_diagram(d)
+            assert image == sort_diagram_by_definition(d), (base, plant)
+            traced, trace = sort_diagram_traced(d)
+            assert traced == image and len(trace) == d.propagation_number()
+            assert bool(scans) == (plant is not None)
+    # Stretched chains, with a cluster planted at the leaf, middle and root.
+    sizes = [rng.randint(1, 3) for _ in range(120)]
+    for reverse in (False, True):
+        for scramble in (None, (0, 8), (56, 64), (112, 120)):
+            d = stretched_chain(rng, sizes, reverse, scramble)
+            assert sort_diagram(d) == sort_diagram_by_definition(d), (reverse, scramble)
+    d = stretched_chain(rng, [rng.randint(1, 3) for _ in range(1000)], False, None)
+    assert sort_diagram(d) == d
+
+
+@pytest.mark.skipif(os.environ.get("DIAGRAMSORT_DEEP") != "1", reason="set DIAGRAMSORT_DEEP=1 for chains of 1000 and 2000")
+def test_sort_on_long_chains_matches_reference():
+    # The reference recurses once per chained split.
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(20000)
+    try:
+        rng = random.Random(16)
+        for d in (
+            embed_permutation(range(2000, 0, -1)),
+            embed_permutation(range(1, 2001)),
+            stretched_chain(rng, [rng.randint(1, 3) for _ in range(1000)], False, None),
+            chain_diagram(rng, 2000, "decreasing", "middle"),
+            chain_diagram(rng, 2000, "increasing", "middle"),
+        ):
+            assert sort_diagram(d) == sort_diagram_by_definition(d)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
 @given(diagrams(max_order=4))
 def test_sort_is_idempotent_on_its_fixpoints_signature(d):
     # The image always sorts to a diagram with the same signature again.
@@ -289,6 +370,25 @@ def test_traced_result_matches_plain_sort():
         assert result == sort_diagram(d)
         if d.propagation_number() == 0:
             assert trace == ()
+
+
+def _events(trace):
+    return [(e.bottom, {blk: (tag.kind, tag.group) for blk, tag in e.assignment.items()}) for e in trace]
+
+
+def test_trace_matches_reference():
+    # Every step, every block's factor: middle groups of bottom-only blocks
+    # before, inside and after the propagating group, top-only groups after it.
+    for n in range(5):
+        for d in enumerate_diagrams(n):
+            assert _events(sort_diagram_traced(d)[1]) == trace_by_definition(d), format_diagram(d)
+    rng = random.Random(12)
+    for _ in range(300):
+        d = sparse_diagram(rng, rng.randint(5, 24), rng.randint(2, 12))
+        assert _events(sort_diagram_traced(d)[1]) == trace_by_definition(d), format_diagram(d)
+    for base in ("decreasing", "increasing"):
+        d = chain_diagram(rng, 120, base, "middle")
+        assert _events(sort_diagram_traced(d)[1]) == trace_by_definition(d)
 
 
 def test_trace_of_identity_two():
