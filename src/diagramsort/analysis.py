@@ -133,12 +133,6 @@ def _candidate_items(blocks: Iterable[Block]) -> str | list[Item]:
     return items
 
 
-def _shape_fault(blocks: Iterable[Block]) -> str | None:
-    """The first block shape no structural candidate has, or None."""
-    found = _candidate_items(blocks)
-    return found if type(found) is str else None
-
-
 def _structural_failure(diagram: PartitionDiagram) -> str | None:
     """The first structural condition broken, or None; step k is line k of ``sort --trace``."""
     items = _candidate_items(diagram.blocks)
@@ -252,7 +246,7 @@ def _scan(args: tuple[int, tuple[int, ...]]) -> tuple[int, int, int]:
     total = candidates = sortable = 0
     for d in enumerate_diagrams(order, prefix):
         total += 1
-        candidates += _shape_fault(d.blocks) is None
+        candidates += type(_candidate_items(d.blocks)) is not str
         ok = is_sss_direct(d)
         if ok != is_sss_theorem(d):
             raise VerificationError(

@@ -85,7 +85,7 @@ def _pad_blocks(blocks: Iterable[tuple[int, int]], order: int) -> list[tuple[int
     return out
 
 
-# Writes the slots once in __init__, past the __setattr__ that forbids it.
+# Writes the slots in __init__ and the hash on first use, past the __setattr__ that forbids it.
 _set = object.__setattr__
 
 
@@ -126,7 +126,7 @@ class PartitionDiagram:
         canonical = tuple(blist)
         _set(self, "order", order)
         _set(self, "blocks", canonical)
-        _set(self, "_hash", hash((order, canonical)))
+        _set(self, "_hash", None)  # filled by the first __hash__
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"PartitionDiagram is immutable; cannot set {name!r}")
@@ -152,7 +152,11 @@ class PartitionDiagram:
         return self.order == other.order and self.blocks == other.blocks
 
     def __hash__(self) -> int:
-        return self._hash
+        h = self._hash
+        if h is None:
+            h = hash((self.order, self.blocks))
+            _set(self, "_hash", h)
+        return h
 
     def __str__(self) -> str:
         return format_diagram(self)

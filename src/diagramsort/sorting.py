@@ -12,7 +12,9 @@ One walk (:func:`_walk`) makes the splits for the sort, its trace,
 in least-top order.  Each piece is swept into top-overlap clusters with a
 Cartesian tree over them, keyed by bottom masks: on a permutation, the
 tree :func:`sort_word`'s stack builds.  A split at a one-block cluster is
-a tree node; only a cluster of several blocks is scanned.  One
+a tree node; only a cluster of several blocks is scanned.  When the walk
+records no steps, a piece whose top intervals all share a point is
+emitted by one sort by bottom mask instead.  One
 :class:`PartitionDiagram` is built per sort.
 """
 
@@ -121,7 +123,7 @@ def _is_singleton(block: Block) -> bool:
     return (t | b).bit_count() == 1 and (t == 0 or b == 0)
 
 
-_least_top, _bottom, _block = itemgetter(0), itemgetter(2), itemgetter(3)
+_least_top, _largest_top, _bottom, _block = itemgetter(0), itemgetter(1), itemgetter(2), itemgetter(3)
 
 
 def _titems(blocks: Iterable[Block]) -> list[Item]:
@@ -252,6 +254,16 @@ def _walk(items: list[Item], step: Callable[..., bool] | None = None, bottoms: l
     cluster of several items is scanned; what it sends left or right is
     swept again with the subtree beside it.
 
+    A walk that records no steps and routes no bottoms emits a fresh
+    piece at once when its top intervals all share a point (Helly's
+    theorem in 1D: intervals that pairwise overlap do).  Then C, the item
+    with the largest bottom mask, overlaps every other item, so L and R
+    are empty.  The rest is one middle group, since propagating blocks
+    always share a group and top-only blocks reach the common point, and
+    that group shares the point too.  So the piece comes out as its
+    top-only blocks in least-top order, then its propagating blocks by
+    ascending bottom mask: one stable sort by bottom mask.
+
     Bottom-only blocks never change the image: they take no top label,
     are never C, and join or split no group of items, since propagating
     middle blocks share one group and a bottom-only extent ends at or
@@ -270,9 +282,13 @@ def _walk(items: list[Item], step: Callable[..., bool] | None = None, bottoms: l
             out.append(entry[3])
             continue
         if size == 2:
-            if not entry[0]:
+            titems, bots = entry
+            if not titems:
                 continue
-            tree, bots = _plant(entry[0]), entry[1]
+            tree = _plant(titems)
+            if tree[4] is None and step is None and bots is None and titems[-1][0] <= min(map(_largest_top, titems)):
+                out += map(_block, sorted(titems, key=_bottom))  # tops share a point: see above
+                continue
             i, a, b = tree[6], 0, len(tree[2])
         else:
             tree, i, a, b, bots = entry

@@ -426,3 +426,31 @@ def stretched_chain(rng: random.Random, sizes: list[int], reverse: bool, scrambl
             tops[j] = sum(1 << x for x in nodes[: sizes[j]])
             del nodes[: sizes[j]]
     return PartitionDiagram(n, list(zip(tops, bottoms)))
+
+
+def common_point_diagram(rng: random.Random, n: int) -> PartitionDiagram:
+    """A diagram whose blocks with top nodes, singletons aside, all span one top node p.
+
+    Block 0 holds p; each other block takes a top node on each side of p
+    and maybe more.  Bottom nodes are dealt out in sets of one to three to
+    those blocks or to bottom-only blocks, so top-only, propagating and
+    bottom-only blocks mix.  Top nodes left over stay singletons.
+    """
+    p = rng.randint(1, n)
+    left, right = list(range(1, p)), list(range(p + 1, n + 1))
+    rng.shuffle(left)
+    rng.shuffle(right)
+    blocks = [{p}] + [{left.pop(), right.pop()} for _ in range(rng.randint(0, min(len(left), len(right))))]
+    for node in left + right:
+        if rng.random() < 0.5:
+            rng.choice(blocks).add(node)
+    bottoms = list(range(1, n + 1))
+    rng.shuffle(bottoms)
+    while bottoms:
+        run = {-bottoms.pop() for _ in range(min(len(bottoms), rng.randint(1, 3)))}
+        j = rng.randrange(len(blocks) + 2)
+        if j < len(blocks):
+            blocks[j] |= run
+        else:
+            blocks.append(run)
+    return canonicalize(blocks, n)

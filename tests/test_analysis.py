@@ -248,6 +248,15 @@ def test_structural_failure_matches_reference():
     assert {None, 1} < steps and max(steps - {None}) > 2  # later steps break too
 
 
+def test_structural_failure_counts_the_steps_of_a_common_point_piece():
+    # Step 2 splits the middle group {1,7,1',2'}, a piece whose top intervals share
+    # a point; the plain sort emits such a piece by one sort, but it is still a step.
+    d = parse_diagram("{1,7,1',2'|2,7'|3,5'|4,6,3',4'|5,6'}", 7)
+    reason = "split step 3: factor order broken"
+    assert _structural_failure(d) == structural_failure_by_definition(d) == reason
+    assert len(sort_diagram_traced(d)[1]) == 5
+
+
 def test_restriction_to_permutations():
     assert _check_restriction() == "153 permutations, n <= 5"
 
@@ -383,12 +392,12 @@ def test_census_check_catches_a_miscounting_shape_test(monkeypatch):
     # A shape test that also faults one unsortable candidate: both predicates still agree on it.
     target = embed_permutation((2, 3, 1))
     assert not is_sss_direct(target)
-    real = analysis_module._shape_fault
+    real = analysis_module._candidate_items
 
-    def shape_fault(blocks):
-        return real(blocks) or ("non-interval bottom" if blocks == target.blocks else None)
+    def candidate_items(blocks):
+        return "non-interval bottom" if blocks == target.blocks else real(blocks)
 
-    monkeypatch.setattr(analysis_module, "_shape_fault", shape_fault)
+    monkeypatch.setattr(analysis_module, "_candidate_items", candidate_items)
     assert census_stretch_sortable(3).sortable == SORTABLE_COUNTS[3]  # the census alone does not notice
     with pytest.raises(VerificationError, match=r"order 3 candidates, Fubini\(n\): 12 != 13"):
         census_stretch_sortable(3, check=True)

@@ -84,6 +84,25 @@ def test_diagram_is_immutable():
         assert clone == d and hash(clone) == hash(d)
 
 
+def test_diagram_hash_is_lazy_and_stable():
+    d = parse_diagram(EX1_TEXT, 5)
+    # Before the first hash, _hash is still guarded, and clones hash like the original.
+    with pytest.raises(AttributeError):
+        setattr(d, "_hash", 0)
+    with pytest.raises(AttributeError):
+        delattr(d, "_hash")
+    clones = [pickle.loads(pickle.dumps(d)), copy.copy(d), copy.deepcopy(d)]
+    same = PartitionDiagram(5, d.blocks[::-1])
+    assert hash(d) == hash((5, d.blocks)) == hash(same) and same == d
+    clones += [pickle.loads(pickle.dumps(d)), copy.copy(d), copy.deepcopy(d)]
+    assert all(clone == d and hash(clone) == hash(d) for clone in clones)
+    with pytest.raises(AttributeError):
+        setattr(d, "_hash", 0)
+    with pytest.raises(AttributeError):
+        delattr(d, "_hash")
+    assert hash(d) == hash((5, d.blocks))
+
+
 def test_canonicalize_rejects_overlap():
     with pytest.raises(ValueError):
         canonicalize([{1, 2}, {2, -1}], 2)

@@ -13,6 +13,7 @@ import diagramsort.sorting as sorting_module
 from conftest import diagrams, random_diagram
 from reference import (
     chain_diagram,
+    common_point_diagram,
     sort_diagram_by_definition,
     sparse_diagram,
     stretched_chain,
@@ -330,6 +331,28 @@ def test_sort_on_planted_chains(monkeypatch):
             assert sort_diagram(d) == sort_diagram_by_definition(d), (reverse, scramble)
     d = stretched_chain(rng, [rng.randint(1, 3) for _ in range(1000)], False, None)
     assert sort_diagram(d) == d
+
+
+def test_common_point_pieces_sort_without_a_scan(monkeypatch):
+    # Every top interval holds top node 4; top-only, bottom-only and singleton blocks mixed in.
+    d = parse_diagram("{1,7,2'|2,5,7',8'|3,8|4,1',3'|6|4',5'|6'}", 8)
+    scans = _count_scans(monkeypatch)
+    image = sort_diagram(d)
+    assert scans == []
+    # The walk emits the top-only {3,8}, then the propagating blocks by bottom mask;
+    # the propagating blocks take the first top labels.
+    assert image == parse_diagram("{1,2,2'|3,1',3'|4,5,7',8'|6,7|8|4',5'|6'}", 8)
+    assert image == sort_diagram_by_definition(d) == sort_diagram_traced(d)[0]
+    assert scans  # the traced sort splits step by step
+    rng = random.Random(17)
+    for n in range(5, 65):
+        d = common_point_diagram(rng, n)
+        scans.clear()
+        image = sort_diagram(d)
+        assert scans == []
+        assert image == sort_diagram_by_definition(d) == sort_diagram_traced(d)[0], format_diagram(d)
+    d = common_point_diagram(rng, 1000)
+    assert sort_diagram(d) == sort_diagram_traced(d)[0]
 
 
 @pytest.mark.skipif(os.environ.get("DIAGRAMSORT_DEEP") != "1", reason="set DIAGRAMSORT_DEEP=1 for chains of 1000 and 2000")
