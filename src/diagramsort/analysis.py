@@ -108,12 +108,6 @@ def _broken(chosen: Item, left: Piece | None, groups: list[Piece], right: Piece 
     return False
 
 
-def _first_broken_step(items: list[Item]) -> int:
-    """The first split step, in pre-order, whose factor order breaks, or 0; items sorted by least top."""
-    stop = _walk(items, _broken)
-    return stop if type(stop) is int else 0
-
-
 def _candidate_items(blocks: Iterable[Block]) -> str | list[Item]:
     """The first block shape no structural candidate has, or else the blocks as walk items.
 
@@ -138,8 +132,8 @@ def _structural_failure(diagram: PartitionDiagram) -> str | None:
     items = _candidate_items(diagram.blocks)
     if type(items) is str:
         return items
-    step = _first_broken_step(items)
-    return f"split step {step}: factor order broken" if step else None
+    step = _walk(items, _broken)  # the first broken step, in pre-order, or the walked blocks
+    return f"split step {step}: factor order broken" if type(step) is int else None
 
 
 def is_sss_theorem(diagram: PartitionDiagram) -> bool:
@@ -300,6 +294,8 @@ def census_stretch_sortable(n: int, *, check: bool = False, jobs: int = 1) -> Ce
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
+    if jobs < 1:
+        raise ValueError("jobs must be positive")
     start = time.perf_counter()
     total, candidates = _bell(2 * n), _fubini(n)
     sortable, states = _count_sss(n)

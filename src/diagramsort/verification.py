@@ -15,11 +15,12 @@ import time
 from collections import Counter
 from itertools import combinations, permutations
 from math import comb, factorial
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .core import (
     PartitionDiagram,
     _diagram_from_rgs,
+    _rgs_strings,
     compose,
     embed_permutation,
     enumerate_diagrams,
@@ -27,12 +28,11 @@ from .core import (
     identity_diagram,
     parse_diagram,
 )
-from .sorting import Block, _titems, sort_diagram, sort_word
+from .sorting import sort_diagram, sort_word
 from .stretch import SetComposition, is_stretch_of_identity, stretch_map
 from .analysis import (
     _bell,
     _count_sss,
-    _first_broken_step,
     census_stretch_sortable,
     contains_231,
     count_t_stack_sortable,
@@ -46,7 +46,9 @@ __all__ = ["CheckResult", "run_checks", "SORTABLE_COUNTS"]
 # Stretch-stack-sortable counts per order: regression constants computed
 # by this package, not from paper.  The exhaustive Bell(2n) scan (census
 # --check) confirmed orders 0-6, the direct sort of every candidate order
-# 7, the mask counter orders 8 and 9; orders 10-12 rest on the recursion.
+# 7, the word map (_sort_packed) on all Fubini(8) packed words order 8, and
+# a mask-level counter, since removed, orders 8 and 9; orders 10-12 rest on
+# the recursion.
 SORTABLE_COUNTS = {
     0: 1, 1: 1, 2: 3, 3: 12, 4: 56, 5: 297, 6: 1753, 7: 11360,
     8: 80084, 9: 610078, 10: 4996600, 11: 43815540, 12: 409977172,
@@ -174,100 +176,68 @@ def _check_predicates_agree(deep: bool) -> str:
     return f"{total} diagrams, n <= {top}"
 
 
-def _compositions(n: int) -> Iterator[tuple[int, ...]]:
-    """Every sequence of positive parts summing to n; 2^(n-1) of them for n >= 1."""
-    if n == 0:
-        yield ()
-        return
-    for first in range(1, n + 1):
-        for rest in _compositions(n - first):
-            yield (first, *rest)
+def _packed_words(n: int) -> Iterator[tuple[int, ...]]:
+    """Every word of length n over 1..k that uses each letter, for some k; Fubini(n) of them.
 
-
-def _subsets(mask: int, size: int) -> list[int]:
-    """Every submask of ``mask`` with ``size`` bits."""
-    bits = []
-    while mask:
-        bits.append(mask & -mask)
-        mask ^= bits[-1]
-    return [sum(c) for c in combinations(bits, size)]
-
-
-def _candidates(order: int, sizes: tuple[int, ...]) -> Iterator[list[Block]]:
-    """Every structural candidate with bottom intervals of these sizes, left to right.
-
-    Each block takes a top set of its bottom's size from the nodes left free.
+    Each restricted growth string, for each ordering of its classes.
     """
-    bottoms = [((1 << size) - 1) << sum(sizes[:j]) for j, size in enumerate(sizes)]
-
-    def assign(j: int, free: int) -> Iterator[list[Block]]:
-        if j == len(sizes):
-            yield []
-            return
-        for top in _subsets(free, sizes[j]):
-            for tail in assign(j + 1, free ^ top):
-                yield [(top, bottoms[j]), *tail]
-
-    return assign(0, (1 << order) - 1)
+    for rgs in _rgs_strings(n):
+        for letters in permutations(range(1, len(set(rgs)) + 1)):
+            yield tuple(letters[c] for c in rgs)
 
 
-def _count_sortable(args: tuple[int, tuple[int, ...]]) -> tuple[int, int]:
-    """(candidates, sortable) for one bottom composition, counted on masks.
+def _word_diagram(w: tuple[int, ...]) -> PartitionDiagram:
+    """The structural candidate of a packed word: top p lies in the block on the w(p)-th bottom interval."""
+    k = max(w, default=0)
+    tops, bottoms = [0] * k, [0] * k
+    for p, (j, i) in enumerate(zip(w, sorted(w))):  # the sorted word runs along the bottom intervals
+        tops[j - 1] |= 1 << p
+        bottoms[i - 1] |= 1 << p
+    return PartitionDiagram(len(w), zip(tops, bottoms))
 
-    The recursion's oracle.  The first split chooses C, the block on the
-    last bottom interval.  The other blocks take tops in bottom order,
-    classed L, M or R as in ``sorting._scan_cluster``; a class below the last
-    breaks the first step, so the branch stops and its completions are
-    counted.  Survivors' pieces walk on; all blocks propagate, so M is one
-    group.
+
+def _sort_packed(w: tuple[int, ...], memo: dict) -> tuple[int, ...]:
+    """The sort on words: s(w) = s(L) s(M) s(R) k...k, k the largest letter.
+
+    L holds the letters whose occurrences all come before the first k, R
+    those whose occurrences all come after the last k, and M the rest.
     """
-    order, sizes = args
-    if not sizes:
-        return 1, 1  # the empty diagram is the identity of order 0
-    *sizes, last = sizes
-    bottoms = [((1 << size) - 1) << sum(sizes[:j]) for j, size in enumerate(sizes)]
-    completions = [1]  # [j]: ways for blocks j.. to take tops from the nodes they leave free
-    for j in reversed(range(len(sizes))):
-        completions.insert(0, completions[0] * comb(sum(sizes[j:]), sizes[j]))
-    pieces = ([], [], [])  # L, M, R
-    candidates = sortable = 0
-
-    def assign(j: int, free: int, floor: int) -> None:
-        nonlocal candidates, sortable
-        if j == len(sizes):
-            candidates += 1
-            sortable += not any(_first_broken_step(sorted(_titems(p))) for p in pieces)
-            return
-        for top in _subsets(free, sizes[j]):
-            cls = 0 if top < first else 2 if not top & upto else 1
-            if cls < floor:
-                candidates += completions[j + 1]
-                continue
-            pieces[cls].append((top, bottoms[j]))
-            assign(j + 1, free ^ top, cls)
-            pieces[cls].pop()
-
-    everything = (1 << order) - 1
-    for chosen in _subsets(everything, last):  # assign classes against this C's first and upto
-        first, upto = chosen & -chosen, (1 << chosen.bit_length()) - 1
-        assign(0, everything ^ chosen, 0)
-    return candidates, sortable
+    if not w:
+        return w
+    if w not in memo:
+        k = max(w)
+        first, last = w.index(k), len(w) - w[::-1].index(k)
+        left, right = set(w[:first]).difference(w[first:]), set(w[last:]).difference(w[:last])
+        memo[w] = (
+            _sort_packed(tuple([x for x in w if x in left]), memo)
+            + _sort_packed(tuple([x for x in w if x != k and x not in left and x not in right]), memo)
+            + _sort_packed(tuple([x for x in w if x in right]), memo)
+            + (k,) * w.count(k)
+        )
+    return memo[w]
 
 
 def _check_census_counter(deep: bool) -> str:
-    """The recursion against the mask counter per order; the counter against the direct sort per composition."""
-    got = {}
+    """The recursion against the word map per order; the word map against the sort's whole image per word."""
+    memo: dict = {}
+    sortable: Counter = Counter()  # by letter counts, the bottom sizes of the word's candidate
+    words = 0
     for n in range(7 if deep else 6):
         counted = 0
-        for sizes in _compositions(n):
-            direct = [is_sss_direct(PartitionDiagram(n, b)) for b in _candidates(n, sizes)]
-            got[sizes] = _count_sortable((n, sizes))
-            _require(got[sizes] == (len(direct), sum(direct)), f"counter wrong on bottom sizes {sizes}")
-            counted += got[sizes][1]
+        for w in _packed_words(n):
+            image = _sort_packed(w, memo)
+            _require(
+                sort_diagram(_word_diagram(w)) == _word_diagram(image),
+                f"sort image wrong on the candidate of word {w}",
+            )
+            if all(a <= b for a, b in zip(image, image[1:])):
+                counted += 1
+                sortable[tuple(map(w.count, range(1, max(w, default=0) + 1)))] += 1
+            words += 1
         recursion = _count_sss(n)[0]
-        _require(recursion == counted, f"recursion at n={n}: {recursion} != {counted} from the mask counter")
-    _require((got[1, 1, 2, 1][1], got[1, 2, 1, 1][1]) == (29, 28), "(1,1,2,1), (1,2,1,1) must give 29, 28")
-    return f"recursion = mask counter = direct sort, n <= {n}; {len(got)} bottom compositions"
+        _require(recursion == counted, f"recursion at n={n}: {recursion} != {counted} from the word map")
+    _require((sortable[1, 1, 2, 1], sortable[1, 2, 1, 1]) == (29, 28), "(1,1,2,1), (1,2,1,1) must give 29, 28")
+    return f"recursion = word map = direct sort, n <= {n}; {words} packed words"
 
 
 def _check_identity_laws() -> str:
@@ -354,26 +324,14 @@ def _check_stretch_round_trip(rng: random.Random) -> str:
     return f"{samples} random set compositions"
 
 
-def _set_partitions(items: tuple[int, ...]) -> Iterable[list[list[int]]]:
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for part in _set_partitions(rest):
-        for i in range(len(part)):
-            yield part[:i] + [[first] + part[i]] + part[i + 1 :]
-        yield [[first]] + part
-
-
 def _check_stretch_characterization() -> str:
     total = 0
     for n in range(4):
-        comps = [
-            SetComposition(ordering)
+        comps = [  # an ordered set partition of a subset is a packed word over it
+            SetComposition([[x for x, j in zip(subset, w) if j == c] for c in range(1, max(w, default=0) + 1)])
             for size in range(n + 1)
             for subset in combinations(range(1, n + 1), size)
-            for part in _set_partitions(subset)
-            for ordering in permutations(part)
+            for w in _packed_words(size)
         ]
         singles = SetComposition([{i} for i in range(1, n + 1)])
         for d in enumerate_diagrams(n):

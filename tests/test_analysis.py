@@ -5,13 +5,16 @@ from __future__ import annotations
 import concurrent.futures
 import os
 import random
+import subprocess
 import sys
 from itertools import combinations, permutations
 from math import comb, factorial
 
 import pytest
 
+import diagramsort
 import diagramsort.analysis as analysis_module
+import diagramsort.sorting as sorting_module
 import diagramsort.verification as verification_module
 from diagramsort.analysis import (
     CensusRow,
@@ -30,20 +33,20 @@ from diagramsort.core import (
     embed_permutation,
     enumerate_diagrams,
     format_diagram,
-    identity_diagram,
     parse_diagram,
 )
-from diagramsort.sorting import sort_diagram, sort_diagram_traced
+from diagramsort.sorting import sort_diagram, sort_diagram_traced, sort_word
+from diagramsort.stretch import is_stretch_of_identity
 from diagramsort.verification import (
     SORTABLE_COUNTS,
-    _candidates,
     _check_census_counter,
     _check_knuth_catalan,
     _check_monotone,
     _check_predicates_agree,
     _check_restriction,
-    _compositions,
-    _count_sortable,
+    _packed_words,
+    _sort_packed,
+    _word_diagram,
 )
 from reference import stretched_chain, structural_candidate, structural_failure_by_definition
 
@@ -282,23 +285,65 @@ def test_census_pinned_counts():
         assert pruned.candidates == FUBINI[n]
 
 
-def test_census_counter_matches_direct_sort_per_composition():
+def _sorted(word):
+    return list(word) == sorted(word)
+
+
+def test_census_counter_matches_direct_sort_per_word():
     assert _check_census_counter(deep=False) == (
-        "recursion = mask counter = direct sort, n <= 5; 32 bottom compositions"
+        "recursion = word map = direct sort, n <= 5; 634 packed words"
     )
 
 
 @pytest.mark.skipif(os.environ.get("DIAGRAMSORT_DEEP") != "1", reason="set DIAGRAMSORT_DEEP=1 for order 6")
-def test_census_counter_matches_direct_sort_per_composition_deep():
+def test_census_counter_matches_direct_sort_per_word_deep():
     assert _check_census_counter(deep=True) == (
-        "recursion = mask counter = direct sort, n <= 6; 64 bottom compositions"
+        "recursion = word map = direct sort, n <= 6; 5317 packed words"
     )
 
 
-def test_census_recursion_matches_mask_counter():
+def test_census_recursion_matches_word_map():
+    memo = {}
     for n in range(8):
-        counted = sum(_count_sortable((n, sizes))[1] for sizes in _compositions(n))
+        counted = sum(_sorted(_sort_packed(w, memo)) for w in _packed_words(n))
         assert analysis_module._count_sss(n)[0] == counted == SORTABLE_COUNTS[n]
+
+
+def test_word_map_runs_no_sort_kernel(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the word map ran the sort kernel")
+
+    monkeypatch.setattr(sorting_module, "_walk", refuse)
+    monkeypatch.setattr(analysis_module, "_walk", refuse)
+    memo = {}
+    for n in range(7):
+        assert sum(_sorted(_sort_packed(w, memo)) for w in _packed_words(n)) == SORTABLE_COUNTS[n]
+        for p in permutations(range(1, n + 1)):
+            assert _sort_packed(p, memo) == sort_word(p)
+    with pytest.raises(AssertionError, match="ran the sort kernel"):
+        sort_diagram(embed_permutation((2, 1)))  # the patch is in force
+
+
+def test_census_counter_compares_whole_images(monkeypatch):
+    # A sort that sends the candidate of 231 to that of 312, not 213: unsortable either way.
+    target, wrong = embed_permutation((2, 3, 1)), embed_permutation((3, 1, 2))
+    real = sort_diagram
+
+    def wrong_sort(d):
+        return wrong if d == target else real(d)
+
+    monkeypatch.setattr(verification_module, "sort_diagram", wrong_sort)
+    monkeypatch.setattr(analysis_module, "sort_diagram", wrong_sort)
+    assert not is_sss_direct(target) and not is_stretch_of_identity(real(target))
+    with pytest.raises(AssertionError, match=r"sort image wrong on the candidate of word \(2, 3, 1\)"):
+        _check_census_counter(deep=False)
+
+
+def test_import_leaves_the_oracles_unimported():
+    env = {**os.environ, "PYTHONPATH": str(os.path.dirname(os.path.dirname(diagramsort.__file__)))}
+    code = "import sys, diagramsort; print('diagramsort.verification' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "False\n")
 
 
 def test_census_builds_no_diagram(monkeypatch):
@@ -335,11 +380,7 @@ def _structural(blocks):
 
 
 def _candidate_diagrams(n):
-    return [
-        PartitionDiagram(n, blocks)
-        for sizes in _compositions(n)
-        for blocks in _candidates(n, sizes)
-    ]
+    return [_word_diagram(w) for w in _packed_words(n)]
 
 
 def test_candidates_are_fubini_many_and_structural():
@@ -355,13 +396,11 @@ def test_candidates_equal_filtered_enumeration():
         assert set(_candidate_diagrams(n)) == filtered
 
 
-def _drop_identity(real):
-    def candidates(order, sizes):
-        for blocks in real(order, sizes):
-            if PartitionDiagram(order, blocks) != identity_diagram(order):
-                yield blocks
+def _drop_identity_word(real, order):
+    def packed_words(n):
+        return (w for w in real(n) if w != tuple(range(1, order + 1)))
 
-    return candidates
+    return packed_words
 
 
 def _drop_first_diagram(real):
@@ -383,8 +422,8 @@ def test_census_check_catches_a_missing_diagram(monkeypatch, name, patch):
 
 
 def test_census_counter_catches_a_missing_candidate(monkeypatch):
-    monkeypatch.setattr(verification_module, "_candidates", _drop_identity(_candidates))
-    with pytest.raises(AssertionError, match="counter wrong on bottom sizes"):
+    monkeypatch.setattr(verification_module, "_packed_words", _drop_identity_word(_packed_words, 4))
+    with pytest.raises(AssertionError, match=r"recursion at n=4: 56 != 55 from the word map"):
         _check_census_counter(deep=False)
 
 

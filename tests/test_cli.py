@@ -134,6 +134,14 @@ def test_census_rejects_empty_range(capsys):
     assert capsys.readouterr().err.startswith("usage error:")
 
 
+def test_census_rejects_nonpositive_jobs(capsys):
+    for args in (["--n", "3", "--jobs", "0"], ["--n", "2", "--jobs", "-3", "--check"]):
+        assert run(["census", *args]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith("\nerror: jobs must be positive\n")
+
+
 def test_census_check_exits_two_on_verification_error(monkeypatch, capsys):
     def failing(n, check=False, jobs=1):
         raise VerificationError(f"oracle disagrees at order {n}")
