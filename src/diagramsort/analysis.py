@@ -21,12 +21,12 @@ from __future__ import annotations
 
 import os
 import time
-from itertools import accumulate, permutations
+from itertools import permutations
 from math import comb
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .core import PartitionDiagram, _permutation, _rgs_strings, enumerate_diagrams, format_diagram
-from .sorting import Block, Item, Piece, _bottom, _walk, sort_diagram, sort_word
+from .sorting import Block, Item, _first_broken_step, sort_diagram, sort_word
 from .stretch import is_stretch_of_identity
 
 __all__ = [
@@ -83,31 +83,6 @@ def is_sss_direct(diagram: PartitionDiagram) -> bool:
     return is_stretch_of_identity(sort_diagram(diagram))
 
 
-def _broken(chosen: Item, left: Piece | None, groups: list[Piece], right: Piece | None) -> bool:
-    """Whether a split puts a factor (left, middle groups, right) before one with smaller bottom labels.
-
-    A factor's blocks have disjoint bottom masks, so their union is their
-    sum, and a subtree's is a difference of its tree's prefix sums.
-    """
-    factors = [piece for piece in (left, *groups, right) if piece]
-    if len(factors) < 2:
-        return False
-    reach = 0
-    for piece in factors:
-        if len(piece) == 2:
-            nodes = sum(map(_bottom, piece[0]))
-        else:
-            tree, _, first, end, _ = piece
-            starts, sums = tree[1], tree[7]
-            if not sums:
-                sums += accumulate(map(_bottom, tree[0]), initial=0)
-            nodes = sums[starts[end]] - sums[starts[first]]
-        if nodes & -nodes < reach:  # its least bottom lies below the factor before
-            return True
-        reach = nodes
-    return False
-
-
 def _candidate_items(blocks: Iterable[Block]) -> str | list[Item]:
     """The first block shape no structural candidate has, or else the blocks as walk items.
 
@@ -132,8 +107,8 @@ def _structural_failure(diagram: PartitionDiagram) -> str | None:
     items = _candidate_items(diagram.blocks)
     if type(items) is str:
         return items
-    step = _walk(items, _broken)  # the first broken step, in pre-order, or the walked blocks
-    return f"split step {step}: factor order broken" if type(step) is int else None
+    step = _first_broken_step(items)
+    return None if step is None else f"split step {step}: factor order broken"
 
 
 def is_sss_theorem(diagram: PartitionDiagram) -> bool:
@@ -264,14 +239,9 @@ def _fubini(n: int) -> int:
     return a[n]
 
 
-def _worker_count(jobs: int, chunks: int) -> int:
-    """Worker processes worth starting: no more than the chunks or the CPUs."""
-    return max(1, min(jobs, chunks, os.cpu_count() or 1))
-
-
 def _map_chunks(fn: Callable, chunks: list, jobs: int, diagrams: int) -> list:
     """``fn`` over the chunks, in order, in up to ``jobs`` processes above ``POOL_MIN_CANDIDATES`` diagrams."""
-    workers = _worker_count(jobs, len(chunks)) if diagrams > POOL_MIN_CANDIDATES else 1
+    workers = min(jobs, len(chunks), os.cpu_count() or 1) if diagrams > POOL_MIN_CANDIDATES else 1
     if workers == 1:
         return [fn(chunk) for chunk in chunks]
     from concurrent.futures import ProcessPoolExecutor  # 2.5 MB: import on first use

@@ -15,12 +15,15 @@ and the parser accepts "-4" as a synonym for "4'".
 Internally a block is a pair of bit masks (top_mask, bottom_mask), bit i-1
 set when index i belongs to the block.  Python integers put no cap on the
 order.  The kernels, the text parser included, work on masks, not node
-lists; the constructor checks validity by OR and sum.  The text layer
-shares one grow-only table of node names and their bits (indices up to
-1024): ``format_diagram`` looks names up, and ``parse_diagram`` sums a
-block's name bits, reading token by token only other spellings ("-4",
-"04") and faulty blocks.  ``compose`` maps the middle row to d2's blocks
-once per call; ``algebra_multiply`` does so once per right-hand term.
+lists; the constructor checks validity by OR and sum.  Signed nodes are
+checked in one place, ``_block_masks``, which names the first zero,
+out-of-range or repeated node of a block.  The text layer shares one
+grow-only table of node names and their bits (indices up to 1024):
+``format_diagram`` looks names up, and ``parse_diagram`` sums a block's
+name bits, reading token by token only other spellings ("-4", "04"),
+larger indices and faulty blocks, whose nodes go to ``_block_masks``.
+``compose`` maps the middle row to d2's blocks once per call;
+``algebra_multiply`` does so once per right-hand term.
 Blocks are kept in a canonical order (sorted by least node, all top nodes
 before all bottom nodes), so equal diagrams compare and hash equal.
 """
@@ -177,26 +180,25 @@ def canonicalize(raw_blocks: Iterable[Iterable[int]], order: int) -> PartitionDi
         ...
     ValueError: blocks overlap
     """
-    blocks = []
-    for raw in raw_blocks:
-        t = b = 0
-        for node in raw:
-            if node == 0:
-                raise ValueError("node 0 is not valid; nodes are +i (top) or -i (bottom)")
-            i = abs(node)
-            if i > order:
-                raise ValueError(f"node index {i} out of range 1..{order}")
-            bit = 1 << (i - 1)
-            if node > 0:
-                if t & bit:
-                    raise ValueError(f"duplicate node {i} in block")
-                t |= bit
-            else:
-                if b & bit:
-                    raise ValueError(f"duplicate node {i}' in block")
-                b |= bit
-        blocks.append((t, b))
-    return PartitionDiagram(order, _pad_blocks(blocks, order))
+    return PartitionDiagram(order, _pad_blocks([_block_masks(raw, order) for raw in raw_blocks], order))
+
+
+def _block_masks(nodes: Iterable[int], order: int) -> tuple[int, int]:
+    """One block's (top_mask, bottom_mask), or the ``ValueError`` naming its first bad or repeated node."""
+    t = b = 0
+    for node in nodes:
+        if node == 0:
+            raise ValueError("node 0 is not valid; nodes are +i (top) or -i (bottom)")
+        i = abs(node)
+        if i > order:
+            raise ValueError(f"node index {i} out of range 1..{order}")
+        bit = 1 << (i - 1)
+        if node > 0:
+            if t == (t := t | bit):  # the bit was set already
+                raise ValueError(f"duplicate node {i} in block")
+        elif b == (b := b | bit):
+            raise ValueError(f"duplicate node {i}' in block")
+    return t, b
 
 
 def identity_diagram(order: int) -> PartitionDiagram:
@@ -280,38 +282,26 @@ def _rgs_strings(length: int, prefix: tuple[int, ...] = ()) -> Iterator[tuple[in
     a[i] <= max(a[:i]) + 1; each one encodes a set-partition of
     {0, ..., length-1} by assigning every element its class id.
     """
-    p = len(prefix)
-    if p > length:
+    if len(prefix) > length:
         raise ValueError("prefix longer than the string")
-    high = 0
-    for i, v in enumerate(prefix):
-        if v < 0 or v > high:
+    used = 0  # classes used so far; the next letter is at most this
+    for v in prefix:
+        if not 0 <= v <= used:
             raise ValueError("invalid restricted growth prefix")
-        high = max(high, v + 1)
-    if length == 0:
-        yield ()
-        return
-    if p == length:
+        used = max(used, v + 1)
+    if len(prefix) == length:
         yield tuple(prefix)
         return
-    a = list(prefix) + [0] * (length - p)
-    floor = max(1, p)
-    while True:
-        yield tuple(a)
-        i = length - 1
-        while i >= floor:
-            mx = 0
-            for j in range(i):
-                if a[j] > mx:
-                    mx = a[j]
-            if a[i] <= mx:
-                a[i] += 1
-                for j in range(i + 1, length):
-                    a[j] = 0
-                break
-            i -= 1
-        else:
-            return
+    last = length - 1
+    stack = [(tuple(prefix), used)]
+    while stack:
+        word, used = stack.pop()
+        if len(word) == last:
+            for v in range(used + 1):
+                yield word + (v,)
+        else:  # pushed in reverse, so they pop in lexicographic order
+            for v in range(used, -1, -1):
+                stack.append((word + (v,), max(used, v + 1)))
 
 
 def _diagram_from_rgs(order: int, rgs: tuple[int, ...]) -> PartitionDiagram:
@@ -429,27 +419,19 @@ def _read_block(part: str, order: int) -> tuple[int, int]:
 
     This is the path for the spellings the name table lacks (``-i``,
     leading zeros, indices past its capacity) and for every faulty block.
+    A malformed token is named before :func:`_block_masks` checks the nodes.
     """
     if not part:
         raise ValueError("empty block in diagram text")
-    tokens = part.split(",")
-    t = b = 0  # bit i for node i; bit 0 for 0 or past the order
-    for token in tokens:
+    nodes = []
+    for token in part.split(","):
         digits = token.removesuffix("'")
         if digits == token:
             digits = token.removeprefix("-")
         if not (digits.isascii() and digits.isdigit()):
             raise ValueError(f"bad node token {token!r}")
-        i = int(digits)
-        bit = 1 << i if i <= order else 1
-        if digits == token:
-            t |= bit
-        else:
-            b |= bit
-    if (t | b) & 1 or t.bit_count() + b.bit_count() < len(tokens):
-        # canonicalize names the bad or repeated node
-        canonicalize([[-int(x[:-1]) if x.endswith("'") else int(x) for x in tokens]], order)
-    return t >> 1, b >> 1
+        nodes.append(int(digits) if digits == token else -int(digits))
+    return _block_masks(nodes, order)
 
 
 def format_diagram(diagram: PartitionDiagram) -> str:

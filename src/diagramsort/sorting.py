@@ -21,6 +21,7 @@ emitted by one sort by bottom mask instead.  One
 from __future__ import annotations
 
 from bisect import bisect_right
+from itertools import accumulate
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -153,7 +154,7 @@ def _plant(items: list[Item]) -> Tree:
     item with that mask.  ``left``/``right`` are the children in the
     Cartesian tree with the largest key at ``root``; ties go to the later
     cluster, so top-only clusters hang in sequence order.  Every subtree
-    is a range of clusters.  ``sums`` is for the structural test to fill.
+    is a range of clusters.  ``sums`` is for :func:`_broken` to fill.
     """
     starts, keys, tops, reach, key, top, j = [], [], [], 0, 0, 0, 0
     for lo, hi, b, _ in items:
@@ -258,9 +259,9 @@ def _walk(items: list[Item], step: Callable[..., bool] | None = None, bottoms: l
     cluster of several items is scanned; what it sends left or right is
     swept again with the subtree beside it.
 
-    A walk that records no steps and routes no bottoms emits a fresh
-    piece at once when its top intervals all share a point (Helly's
-    theorem in 1D: intervals that pairwise overlap do).  Then C, the item
+    A walk that records no steps emits a fresh piece at once when its
+    top intervals all share a point (Helly's theorem in 1D: intervals
+    that pairwise overlap do).  Then C, the item
     with the largest bottom mask, overlaps every other item, so L and R
     are empty.  The rest is one middle group, since propagating blocks
     always share a group and top-only blocks reach the common point, and
@@ -290,7 +291,7 @@ def _walk(items: list[Item], step: Callable[..., bool] | None = None, bottoms: l
             if not titems:
                 continue
             tree = _plant(titems)
-            if tree[4] is None and step is None and bots is None and titems[-1][0] <= min(map(_largest_top, titems)):
+            if tree[4] is None and step is None and titems[-1][0] <= min(map(_largest_top, titems)):
                 out += map(_block, sorted(titems, key=_bottom))  # tops share a point: see above
                 continue
             i, a, b = tree[6], 0, len(tree[2])
@@ -334,6 +335,37 @@ def _walk(items: list[Item], step: Callable[..., bool] | None = None, bottoms: l
         if left:
             work.append(left)
     return out
+
+
+def _broken(chosen: Item, left: Piece | None, groups: list[Piece], right: Piece | None) -> bool:
+    """Whether a split puts a factor (left, middle groups, right) before one with smaller bottom labels.
+
+    A factor's blocks have disjoint bottom masks, so their union is their
+    sum, and a subtree's is a difference of its tree's prefix sums.
+    """
+    factors = [piece for piece in (left, *groups, right) if piece]
+    if len(factors) < 2:
+        return False
+    reach = 0
+    for piece in factors:
+        if len(piece) == 2:
+            nodes = sum(map(_bottom, piece[0]))
+        else:
+            tree, _, first, end, _ = piece
+            starts, sums = tree[1], tree[7]
+            if not sums:
+                sums += accumulate(map(_bottom, tree[0]), initial=0)
+            nodes = sums[starts[end]] - sums[starts[first]]
+        if nodes & -nodes < reach:  # its least bottom lies below the factor before
+            return True
+        reach = nodes
+    return False
+
+
+def _first_broken_step(items: list[Item]) -> int | None:
+    """The structural test's walk: the first split step, in pre-order, that :func:`_broken` flags."""
+    step = _walk(items, _broken)
+    return step if type(step) is int else None
 
 
 def _blocks(piece: Piece | None) -> list[Block]:

@@ -161,13 +161,13 @@ def test_structural_predicate_examples():
 
 def test_structural_test_stops_at_first_broken_step(monkeypatch):
     calls = []
-    real_broken = analysis_module._broken
+    real_broken = sorting_module._broken
 
     def counting_broken(chosen, *factors):
         calls.append(chosen[3])
         return real_broken(chosen, *factors)
 
-    monkeypatch.setattr(analysis_module, "_broken", counting_broken)
+    monkeypatch.setattr(sorting_module, "_broken", counting_broken)
     # The first split chooses {2,3'} and puts {1,2'} in L and {3,1'} in R: broken at once.
     assert not is_sss_theorem(embed_permutation((2, 3, 1)))
     assert calls == [(0b10, 0b100)]
@@ -314,7 +314,6 @@ def test_word_map_runs_no_sort_kernel(monkeypatch):
         raise AssertionError("the word map ran the sort kernel")
 
     monkeypatch.setattr(sorting_module, "_walk", refuse)
-    monkeypatch.setattr(analysis_module, "_walk", refuse)
     memo = {}
     for n in range(7):
         assert sum(_sorted(_sort_packed(w, memo)) for w in _packed_words(n)) == SORTABLE_COUNTS[n]
@@ -344,6 +343,16 @@ def test_import_leaves_the_oracles_unimported():
     code = "import sys, diagramsort; print('diagramsort.verification' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
     assert (proc.returncode, proc.stdout) == (0, "False\n")
+
+
+def test_package_exports_each_layers_own_names():
+    layers = [diagramsort.core, diagramsort.sorting, diagramsort.stretch, diagramsort.analysis]
+    names = diagramsort.__all__
+    assert names == sorted(set(names))
+    assert set(names) == {name for layer in layers for name in layer.__all__}
+    for layer in layers:
+        for name in layer.__all__:
+            assert getattr(diagramsort, name) is getattr(layer, name), name
 
 
 def test_census_builds_no_diagram(monkeypatch):
@@ -491,21 +500,20 @@ def test_census_pool_only_above_threshold(monkeypatch):
     census_stretch_sortable(12, jobs=2)
     census_stretch_sortable(4, check=True, jobs=2)  # the oracle sorts Bell(8) = 4140
     assert started == []
-    # Order 5 scanned as empty chunks: only whether a pool starts matters here.
+    # Order 5 scanned as empty chunks: only how many workers start matters here.
     monkeypatch.setattr(analysis_module, "_scan", lambda args: (0, 0, 0))
-    with pytest.raises(VerificationError):
-        census_stretch_sortable(5, check=True, jobs=2)
-    assert started == [2]
-
-
-def test_worker_count_is_clamped(monkeypatch):
+    for cpus, jobs, workers in [(2, 2, [2]), (4, 10**9, [4]), (4, 3, [3]), (None, 8, [])]:
+        monkeypatch.setattr(analysis_module.os, "cpu_count", lambda: cpus)
+        started.clear()
+        with pytest.raises(VerificationError):
+            census_stretch_sortable(5, check=True, jobs=jobs)
+        assert started == workers  # no more than the CPUs; one CPU runs serially
+    # No more workers than chunks.
     monkeypatch.setattr(analysis_module.os, "cpu_count", lambda: 4)
-    assert analysis_module._worker_count(10**9, 15) == 4
-    assert analysis_module._worker_count(3, 15) == 3
-    assert analysis_module._worker_count(8, 2) == 2
-    assert analysis_module._worker_count(0, 15) == 1
-    monkeypatch.setattr(analysis_module.os, "cpu_count", lambda: None)
-    assert analysis_module._worker_count(8, 15) == 1
+    started.clear()
+    diagrams = analysis_module.POOL_MIN_CANDIDATES + 1
+    assert analysis_module._map_chunks(abs, [-1, -2], 8, diagrams) == [1, 2]
+    assert started == [2]
 
 
 def test_census_rejects_negative_order():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import pickle
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -316,6 +317,35 @@ def test_enumerate_prefix_partition_is_exact():
     whole = list(enumerate_diagrams(2))
     by_prefix = [d for p in [(0, 0), (0, 1)] for d in enumerate_diagrams(2, p)]
     assert whole == by_prefix
+
+
+def test_rgs_strings_equal_a_filter_of_all_words():
+    # Position i holds at most letter i; keep the words with no letter above 1 + the largest before it.
+    def growth(word):
+        return all(v <= 1 + max(word[:i], default=-1) for i, v in enumerate(word))
+
+    for length in range(9):
+        every = [w for w in product(*(range(i + 1) for i in range(length))) if growth(w)]
+        assert list(core._rgs_strings(length)) == every
+        assert len(every) == _bell(length)
+        for prefix in [(0,), (0, 1), (0, 0, 1), (0, 1, 0, 2, 3)]:
+            if len(prefix) <= length:
+                expected = [w for w in every if w[: len(prefix)] == prefix]
+                assert list(core._rgs_strings(length, prefix)) == expected
+
+
+def test_rgs_strings_reject_bad_prefixes():
+    cases = [
+        (2, (0, 0, 0), "prefix longer than the string"),
+        (1, (1, 1), "prefix longer than the string"),  # checked before the letters
+        (3, (1,), "invalid restricted growth prefix"),
+        (3, (0, 2), "invalid restricted growth prefix"),
+        (3, (0, -1), "invalid restricted growth prefix"),
+    ]
+    for length, prefix, message in cases:
+        with pytest.raises(ValueError) as err:
+            list(core._rgs_strings(length, prefix))
+        assert (prefix, str(err.value)) == (prefix, message)
 
 
 # --- text format -----------------------------------------------------------
