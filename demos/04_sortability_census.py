@@ -31,7 +31,7 @@ for d in (good, bad):
 # also sorts every diagram as a brute-force oracle.  The sortable counts
 # below (1, 1, 3, 12, 56, ...) are computed, not from paper.
 print("n\ttotal\tcandidates\tsortable\tstates")
-for n in range(13):
+for n in range(21):
     row = census_stretch_sortable(n)
     print(f"{row.n}\t{row.total}\t{row.candidates}\t{row.sortable}\t{row.states}")
 oracle = census_stretch_sortable(4, check=True)

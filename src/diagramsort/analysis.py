@@ -161,50 +161,65 @@ def _count_sss(n: int) -> tuple[int, int]:
     left zone [1, max(p, x)], a right zone [min(q, m - y + 1), m] and z
     positions between, each C or M; L lies before p, R after q, and M's
     rule counts its positions in each zone.  h(m, x, y) = h(m, y, x), and
-    x + y <= m in every state reached from h(n, 0, 0).
+    x + y <= m in every state reached from h(n, 0, 0).  A state sums, over
+    the zones and b, the right zone's fillings with b M positions times
+    left(x, lz, z, b) = sum over a of zone(x, lz)[a] * middle(z, a, b),
+    memoized for the call where b has fillings: it reads neither m nor y,
+    as a zone depends only on x and lz and the middle on z, a and b.
     """
     binom = [[comb(k, i) for i in range(k + 1)] for k in range(n + 1)]
     memo = {(0, 0, 0): 1}
     zones: dict = {}
     middles: dict = {}
+    lefts: dict = {}
 
     def h(m: int, x: int, y: int) -> int:
         if x > y:
             x, y = y, x
-        key = m, x, y
-        if key in memo:
-            return memo[key]
+        if (total := memo.get((m, x, y))) is not None:
+            return total
         total = 0
         for lz in range(max(x, 1), m + 1):
             for rz in range(max(y, 1), m + 2 - lz):
-                if lz + rz > m and (lz == x or rz == y):
-                    continue  # p = q: one C position, in neither rule
-                z = max(m - lz - rz, 0)
-                for a, wa in enumerate(zone(x, lz)):
-                    if wa:
-                        for b, wb in enumerate(zone(y, rz)):
-                            if wb:
-                                total += wa * wb * middle(z, a, b)
-        memo[key] = total
+                if (z := m - lz - rz) < 0:  # the zones share one position
+                    if lz == x or rz == y:
+                        continue  # p = q: one C position, in neither rule
+                    z = 0
+                for b, wb in enumerate(zone(y, rz)):
+                    if wb:
+                        total += wb * left(x, lz, z, b)
+        memo[m, x, y] = total
+        return total
+
+    def left(x: int, lz: int, z: int, b: int) -> int:
+        if (total := lefts.get((x, lz, z, b))) is None:
+            total = 0
+            for a, wa in enumerate(zone(x, lz)):
+                if wa:
+                    total += wa * middle(z, a, b)
+            lefts[x, lz, z, b] = total
         return total
 
     def middle(z: int, a: int, b: int) -> int:
-        if (z, a, b) not in middles:
-            middles[z, a, b] = sum(c * h(a + b + i, a, b) for i, c in enumerate(binom[z]))
-        return middles[z, a, b]
+        if (total := middles.get((z, a, b))) is None:
+            total = 0
+            for i, c in enumerate(binom[z]):
+                total += c * h(a + b + i, a, b)
+            middles[z, a, b] = total
+        return total
 
     def zone(x: int, lz: int) -> list[int]:
         """Fillings of [1, lz] by their number of M positions."""
-        if (x, lz) not in zones:
+        if (out := zones.get((x, lz))) is None:
             if lz <= x:  # p <= x: M before p (an L letter would break the rule), C or M after
-                zones[x, lz] = binom[x][:x]
+                out = binom[x][:x]
             else:  # p = lz: L or M before it, the first x positions in L's rule
                 out = [0] * lz
                 for i, ci in enumerate(binom[x]):
                     for j, cj in enumerate(binom[lz - 1 - x]):
                         out[lz - 1 - i - j] += ci * cj * h(i + j, i, 0)
-                zones[x, lz] = out
-        return zones[x, lz]
+            zones[x, lz] = out
+        return out
 
     return h(n, 0, 0), len(memo)
 

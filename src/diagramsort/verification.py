@@ -47,11 +47,14 @@ __all__ = ["CheckResult", "run_checks", "SORTABLE_COUNTS"]
 # by this package, not from paper.  The exhaustive Bell(2n) scan (census
 # --check) confirmed orders 0-6, the direct sort of every candidate order
 # 7, the word map (_sort_packed) on all Fubini(8) packed words order 8, and
-# a mask-level counter, since removed, orders 8 and 9; orders 10-12 rest on
-# the recursion.
+# a mask-level counter, since removed, orders 8 and 9; orders 10-20 rest on
+# the recursion alone.
 SORTABLE_COUNTS = {
     0: 1, 1: 1, 2: 3, 3: 12, 4: 56, 5: 297, 6: 1753, 7: 11360,
     8: 80084, 9: 610078, 10: 4996600, 11: 43815540, 12: 409977172,
+    13: 4081272259, 14: 43114046069, 15: 482203093337, 16: 5697968563663,
+    17: 70998602114419, 18: 931182967959351, 19: 12833205085012480,
+    20: 185543061912332326,
 }
 
 

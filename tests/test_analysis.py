@@ -309,6 +309,47 @@ def test_census_recursion_matches_word_map():
         assert analysis_module._count_sss(n)[0] == counted == SORTABLE_COUNTS[n]
 
 
+def test_census_recursion_states_at_order_20():
+    # The memo states pin which (m, x, y) the recursion reaches, not only its count.
+    assert analysis_module._count_sss(20) == (SORTABLE_COUNTS[20], 727)
+
+
+def test_census_recursion_sums_left_zones_only_for_filled_right_zones():
+    # A left zone summed for an empty right filling changes no count or state
+    # seen so far, only the work, so the rule is checked on the calls.
+    weights = []
+
+    def spy(frame, event, arg):
+        if event == "call" and frame.f_code.co_name == "left" and frame.f_back.f_code.co_name == "h":
+            weights.append(frame.f_back.f_locals["wb"])
+
+    outer = sys.getprofile()
+    sys.setprofile(spy)
+    try:
+        analysis_module._count_sss(12)
+    finally:
+        sys.setprofile(outer)
+    assert weights and all(weights)
+
+
+# Orders 21-30 as tabulated in the README (computed, not from paper).
+DEEP_SORTABLE_COUNTS = {
+    21: 2809877437321679489, 22: 44505264063765944207, 23: 736184750379296597894,
+    24: 12700004064060793807006, 25: 228177039388495305173100,
+    26: 4264022710147547169633598, 27: 82774046842175258038652156,
+    28: 1667105686972086228111288318, 29: 34794727140547573710296362444,
+    30: 751713722661699704924785534356,
+}
+
+
+@pytest.mark.skipif(os.environ.get("DIAGRAMSORT_DEEP") != "1", reason="set DIAGRAMSORT_DEEP=1 for orders 21-30")
+def test_census_recursion_deep_orders():
+    for n, want in DEEP_SORTABLE_COUNTS.items():
+        count, states = analysis_module._count_sss(n)
+        assert count == want, n
+    assert states == 2377  # order 30
+
+
 def test_word_map_runs_no_sort_kernel(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the word map ran the sort kernel")
