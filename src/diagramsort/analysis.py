@@ -23,10 +23,11 @@ import os
 import time
 from itertools import permutations
 from math import comb
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .core import PartitionDiagram, _permutation, _rgs_strings, enumerate_diagrams, format_diagram
-from .sorting import Block, Item, _first_broken_step, sort_diagram, sort_word
+from . import sorting
+from .sorting import _structural_failure, sort_diagram, sort_word
 from .stretch import is_stretch_of_identity
 
 __all__ = [
@@ -81,34 +82,6 @@ def is_t_stack_sortable(word: Sequence[int], t: int) -> bool:
 def is_sss_direct(diagram: PartitionDiagram) -> bool:
     """Stretch-stack-sortability by definition: sort, then inspect the image."""
     return is_stretch_of_identity(sort_diagram(diagram))
-
-
-def _candidate_items(blocks: Iterable[Block]) -> str | list[Item]:
-    """The first block shape no structural candidate has, or else the blocks as walk items.
-
-    A candidate's blocks all propagate, so each is an item, built as
-    ``sorting._titems`` builds them, in the same pass as the shape test.
-    """
-    items = []
-    for blk in blocks:
-        t, b = blk
-        if not (t and b):
-            return "non-propagating block"
-        if t.bit_count() != b.bit_count():
-            return "unequal top and bottom sizes"
-        if (b + (b & -b)) & b:  # adding the low bit clears an interval
-            return "non-interval bottom"
-        items.append(((t & -t).bit_length(), t.bit_length(), b, blk))
-    return items
-
-
-def _structural_failure(diagram: PartitionDiagram) -> str | None:
-    """The first structural condition broken, or None; step k is line k of ``sort --trace``."""
-    items = _candidate_items(diagram.blocks)
-    if type(items) is str:
-        return items
-    step = _first_broken_step(items)
-    return None if step is None else f"split step {step}: factor order broken"
 
 
 def is_sss_theorem(diagram: PartitionDiagram) -> bool:
@@ -230,7 +203,8 @@ def _scan(args: tuple[int, tuple[int, ...]]) -> tuple[int, int, int]:
     total = candidates = sortable = 0
     for d in enumerate_diagrams(order, prefix):
         total += 1
-        candidates += type(_candidate_items(d.blocks)) is not str
+        # is_sss_theorem's shape test, looked up in sorting at each call
+        candidates += type(sorting._candidate_items(d.blocks)) is not str
         ok = is_sss_direct(d)
         if ok != is_sss_theorem(d):
             raise VerificationError(

@@ -12,15 +12,9 @@ import json
 import sys
 from typing import Sequence
 
-from .analysis import (
-    VerificationError,
-    _structural_failure,
-    census_stretch_sortable,
-    count_t_stack_sortable,
-    is_sss_direct,
-)
+from .analysis import VerificationError, census_stretch_sortable, count_t_stack_sortable, is_sss_direct
 from .core import compose, format_diagram, parse_diagram, to_dot
-from .sorting import TraceEvent, sort_diagram, sort_diagram_traced
+from .sorting import TraceEvent, _structural_failure, sort_diagram, sort_diagram_traced
 from .stretch import SetComposition, is_stretch_of_identity, stretch_map
 from .verification import run_checks
 

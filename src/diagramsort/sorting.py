@@ -8,14 +8,14 @@ fresh consecutive top labels while every bottom label stays put.  On
 diagrams of permutations it reproduces the word map.
 
 One walk (:func:`_walk`) makes the splits for the sort, its trace,
-:func:`decompose` and the structural test, over the blocks with top nodes
-in least-top order.  Each piece is swept into top-overlap clusters with a
-Cartesian tree over them, keyed by bottom masks: on a permutation, the
-tree :func:`sort_word`'s stack builds.  A split at a one-block cluster is
-a tree node; only a cluster of several blocks is scanned.  When the walk
-records no steps, a piece whose top intervals all share a point is
-emitted by one sort by bottom mask instead.  One
-:class:`PartitionDiagram` is built per sort.
+:func:`decompose` and the structural test (:func:`_structural_failure`),
+over the blocks with top nodes in least-top order.  Each piece is swept
+into top-overlap clusters with a Cartesian tree over them, keyed by
+bottom masks: on a permutation, the tree :func:`sort_word`'s stack
+builds.  A split at a one-block cluster is a tree node; only a cluster of
+several blocks is scanned.  When the walk records no steps, a piece
+whose top intervals all share a point is emitted by one sort by bottom
+mask instead.  One :class:`PartitionDiagram` is built per sort.
 """
 
 from __future__ import annotations
@@ -362,10 +362,32 @@ def _broken(chosen: Item, left: Piece | None, groups: list[Piece], right: Piece 
     return False
 
 
-def _first_broken_step(items: list[Item]) -> int | None:
-    """The structural test's walk: the first split step, in pre-order, that :func:`_broken` flags."""
+def _candidate_items(blocks: Iterable[Block]) -> str | list[Item]:
+    """The first block shape no structural candidate has, or else the blocks as walk items.
+
+    A candidate's blocks all propagate, so each is an item, built as
+    :func:`_titems` builds them, in the same pass as the shape test.
+    """
+    items = []
+    for blk in blocks:
+        t, b = blk
+        if not (t and b):
+            return "non-propagating block"
+        if t.bit_count() != b.bit_count():
+            return "unequal top and bottom sizes"
+        if (b + (b & -b)) & b:  # adding the low bit clears an interval
+            return "non-interval bottom"
+        items.append(((t & -t).bit_length(), t.bit_length(), b, blk))
+    return items
+
+
+def _structural_failure(diagram: PartitionDiagram) -> str | None:
+    """The structural test: the first condition broken, or None; step k is line k of ``sort --trace``."""
+    items = _candidate_items(diagram.blocks)
+    if type(items) is str:
+        return items
     step = _walk(items, _broken)
-    return step if type(step) is int else None
+    return f"split step {step}: factor order broken" if type(step) is int else None
 
 
 def _blocks(piece: Piece | None) -> list[Block]:

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import ast
 import concurrent.futures
 import os
 import random
+import re
 import subprocess
 import sys
 from itertools import combinations, permutations
 from math import comb, factorial
+from pathlib import Path
 
 import pytest
 
@@ -19,7 +22,6 @@ import diagramsort.verification as verification_module
 from diagramsort.analysis import (
     CensusRow,
     VerificationError,
-    _structural_failure,
     census_stretch_sortable,
     contains_231,
     count_t_stack_sortable,
@@ -27,6 +29,7 @@ from diagramsort.analysis import (
     is_sss_theorem,
     is_t_stack_sortable,
 )
+from diagramsort.cli import run
 from diagramsort.core import (
     PartitionDiagram,
     canonicalize,
@@ -35,11 +38,12 @@ from diagramsort.core import (
     format_diagram,
     parse_diagram,
 )
-from diagramsort.sorting import sort_diagram, sort_diagram_traced, sort_word
+from diagramsort.sorting import _structural_failure, sort_diagram, sort_diagram_traced, sort_word
 from diagramsort.stretch import is_stretch_of_identity
 from diagramsort.verification import (
     SORTABLE_COUNTS,
     _check_census_counter,
+    _check_census_regression,
     _check_knuth_catalan,
     _check_monotone,
     _check_predicates_agree,
@@ -396,6 +400,26 @@ def test_package_exports_each_layers_own_names():
             assert getattr(diagramsort, name) is getattr(layer, name), name
 
 
+def test_only_sorting_reads_the_walk():
+    # Walk items, trees and pieces are private to sorting: the other layers take its
+    # public names and the structural test's shape pass and reason, nothing else.
+    allowed = {*sorting_module.__all__, "_candidate_items", "_structural_failure"}
+    package = Path(sorting_module.__file__).parent
+    for module in ("analysis", "cli", "verification"):
+        tree = ast.parse((package / f"{module}.py").read_text())
+        used, aliases = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                if node.module == "sorting":
+                    used |= {alias.name for alias in node.names}
+                elif node.module is None:
+                    aliases |= {alias.asname or alias.name for alias in node.names if alias.name == "sorting"}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in aliases:
+                used.add(node.attr)
+        assert used and used <= allowed, (module, sorted(used - allowed))
+
+
 def test_census_builds_no_diagram(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the census built a diagram or started a pool")
@@ -477,19 +501,41 @@ def test_census_counter_catches_a_missing_candidate(monkeypatch):
         _check_census_counter(deep=False)
 
 
+def test_census_regression_checks_totals_independently(monkeypatch):
+    # A wrong Bell triangle, in the census and in the check's own module alike.
+    real = analysis_module._bell
+    wrong = lambda m: real(m) + (m == 6)  # noqa: E731
+    monkeypatch.setattr(analysis_module, "_bell", wrong)
+    monkeypatch.setattr(verification_module, "_bell", wrong)
+    with pytest.raises(AssertionError, match=r"census total at n=3 is not Bell\(2n\)"):
+        _check_census_regression()
+
+
 def test_census_check_catches_a_miscounting_shape_test(monkeypatch):
     # A shape test that also faults one unsortable candidate: both predicates still agree on it.
     target = embed_permutation((2, 3, 1))
     assert not is_sss_direct(target)
-    real = analysis_module._candidate_items
+    real = sorting_module._candidate_items
 
     def candidate_items(blocks):
         return "non-interval bottom" if blocks == target.blocks else real(blocks)
 
-    monkeypatch.setattr(analysis_module, "_candidate_items", candidate_items)
+    # sorting owns the shape test: the patch reaches the oracle's count and is_sss_theorem alike.
+    monkeypatch.setattr(sorting_module, "_candidate_items", candidate_items)
     assert census_stretch_sortable(3).sortable == SORTABLE_COUNTS[3]  # the census alone does not notice
     with pytest.raises(VerificationError, match=r"order 3 candidates, Fubini\(n\): 12 != 13"):
         census_stretch_sortable(3, check=True)
+
+
+def test_census_check_names_a_predicate_disagreement(monkeypatch, capsys):
+    target = embed_permutation((2, 3, 1))
+    real = is_sss_theorem
+    monkeypatch.setattr(analysis_module, "is_sss_theorem", lambda d: real(d) != (d == target))
+    message = f"sortability predicates disagree on {format_diagram(target)} at order 3"
+    with pytest.raises(VerificationError, match=re.escape(message)):
+        census_stretch_sortable(3, check=True)
+    assert run(["census", "--n", "3", "--check"]) == 2
+    assert capsys.readouterr().err.endswith(f"\nverification failure: {message}\n")
 
 
 def _drop_one_survivor(real):

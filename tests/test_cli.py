@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -13,9 +16,13 @@ import pytest
 
 import diagramsort
 import diagramsort.cli as cli_module
+import diagramsort.verification as verification_module
 from diagramsort.analysis import VerificationError
 from diagramsort.cli import run
-from diagramsort.verification import SORTABLE_COUNTS, CheckResult
+from diagramsort.core import AlgebraElement, PartitionDiagram, XiPoly, algebra_multiply, parse_diagram
+from diagramsort.sorting import sort_word
+from diagramsort.stretch import SetComposition
+from diagramsort.verification import SORTABLE_COUNTS, CheckResult, run_checks
 
 EX_LEFT = "{1,4|2,3,4',5'|5|1',3'|2'}"
 EX_RIGHT = "{1,3|2,4,3'|5,4',5'|1'|2'}"
@@ -190,6 +197,64 @@ def test_verify_smoke(monkeypatch, capsys):
     assert "FAIL beta: count off (0.25s)" in captured.out
     assert captured.err == "1 of 2 checks failed\n"
     assert calls == [(False, 2024), (True, 7)]
+
+
+def test_verify_survives_a_check_that_raises(monkeypatch, capsys):
+    # Every check stubbed to pass at once but one that raises; the real suite runs in test_acceptance.
+    for name in [name for name in vars(verification_module) if name.startswith("_check_")]:
+        monkeypatch.setattr(verification_module, name, lambda *args: "stubbed")
+
+    def broken():
+        raise RuntimeError("embedding broke")
+
+    monkeypatch.setattr(verification_module, "_check_embedding", broken)
+    results = run_checks()
+    assert len(results) == 18
+    assert [(r.name, r.ok, r.detail) for r in results if not r.ok] == [("embedding", False, "embedding broke")]
+    assert run(["verify"]) == 2
+    captured = capsys.readouterr()
+    assert "FAIL embedding: embedding broke (" in captured.out
+    assert captured.err == "1 of 18 checks failed\n"
+
+
+def _exit_and_error(*argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run(list(argv))
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        (lambda: _exit_and_error("census", "--n=-1..2"), (1, "error: orders must be nonnegative\n")),
+        (lambda: _exit_and_error("census", "--n=-1"), (1, "error: orders must be nonnegative\n")),
+        (lambda: _exit_and_error("count-sortable", "--n", "-1"), (1, "error: n must be nonnegative\n")),
+        (lambda: sort_word((0, 1)), ValueError("letters must be positive")),
+        (lambda: PartitionDiagram(-1, ()), ValueError("order must be nonnegative")),
+        (lambda: XiPoly.xi_power(-1), ValueError("exponent must be nonnegative")),
+        (
+            lambda: algebra_multiply(AlgebraElement(1, {}), AlgebraElement(2, {})),
+            ValueError("elements must have the same order"),
+        ),
+        (lambda: SetComposition.parse("1||2"), ValueError("empty part in set composition text")),
+        (lambda: SetComposition.parse("  ").parts, ()),
+        (lambda: eval(repr(d := parse_diagram(EX_LEFT, 5)), {"parse_diagram": parse_diagram}) == d, True),
+        (lambda: repr(XiPoly([1, 0, 2])), "XiPoly((1, 0, 2))"),
+        (lambda: repr(AlgebraElement(2, {})), "AlgebraElement(2, {})"),
+    ],
+    ids=[
+        "census-negative-range", "census-negative-order", "count-sortable-negative-n", "sort-word-zero-letter",
+        "diagram-negative-order", "xi-negative-power", "algebra-order-mismatch", "composition-empty-part",
+        "composition-blank-text", "diagram-repr-round-trip", "xipoly-repr", "zero-element-repr",
+    ],
+)
+def test_boundary_paths(call, expected):
+    if isinstance(expected, Exception):
+        with pytest.raises(type(expected), match=re.escape(str(expected))):
+            call()
+    else:
+        assert call() == expected
 
 
 def test_domain_error_exits_one(capsys):
