@@ -28,7 +28,6 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 from .core import (
     PartitionDiagram,
     _bits,
-    _block_key,
     _pad_blocks,
     _signed,
 )
@@ -47,10 +46,10 @@ __all__ = [
 Block = tuple[int, int]
 # A block with top nodes: (least top, largest top, bottom mask, block), tops from 1.
 Item = tuple[int, int, int, Block]
-Tree = tuple  # see _plant
-# A split's factor: (items, bottom-only blocks), or (tree, root, first, end,
-# bottom-only blocks) for the subtree on clusters first..end-1.  A fresh
-# piece stays unplanted until it is popped: the structural test stops at the
+Tree = list  # [items], filled in place by _plant
+# A split's factor: (tree, root, lo, hi, bottom-only blocks), its items
+# tree[0][lo:hi].  A fresh piece is ([items], -1, 0, len(items), bottoms) and
+# is planted only when the walk pops it: the structural test stops at the
 # first broken step, so most pieces it makes are never walked.  Planting each
 # piece when made cost 1.30x on is_sss_theorem over random candidates and
 # 1.12x on the sort-large ops (2-core x86, Python 3.11, best of 20).
@@ -145,19 +144,20 @@ def _bottom_only(blocks: Iterable[Block]) -> list[Block]:
     return [blk for blk in blocks if not blk[0] and blk[1] & (blk[1] - 1)]
 
 
-def _plant(items: list[Item]) -> Tree:
-    """(items, starts, keys, tops, left, right, root, sums): the clusters of items sorted by least top.
+def _plant(tree: Tree) -> int:
+    """Fill a fresh tree [items] in place to [items, starts, keys, tops, left, right, sums]; its root.
 
-    A cluster is a maximal run of items whose [least top, largest top]
-    intervals overlap; ``starts[c]`` is its first item, ``keys[c]`` its
-    largest bottom mask (0 if nothing in it propagates), ``tops[c]`` the
-    item with that mask.  ``left``/``right`` are the children in the
-    Cartesian tree with the largest key at ``root``; ties go to the later
-    cluster, so top-only clusters hang in sequence order.  Every subtree
-    is a range of clusters.  ``sums`` is for :func:`_broken` to fill.
+    The items come by least top.  A cluster is a maximal run of them whose
+    [least top, largest top] intervals overlap; ``starts[c]`` is its first
+    item, ``keys[c]`` its largest bottom mask (0 if nothing in it
+    propagates), ``tops[c]`` the item with that mask.  ``left``/``right``
+    are the children in the Cartesian tree with the largest key at the
+    root, -1 for none; ties go to the later cluster, so top-only clusters
+    hang in sequence order.  Every subtree is a range of clusters, so of
+    items.  ``sums`` is for :func:`_broken` to fill.
     """
     starts, keys, tops, reach, key, top, j = [], [], [], 0, 0, 0, 0
-    for lo, hi, b, _ in items:
+    for lo, hi, b, _ in tree[0]:
         if lo > reach:  # a new cluster; record the one before
             starts.append(j)
             keys.append(key)
@@ -169,7 +169,8 @@ def _plant(items: list[Item]) -> Tree:
             reach = hi
         j += 1
     if len(starts) == 1:
-        return items, [0, j], [key], [top], None, None, 0, []
+        tree += [0, j], [key], [top], (-1,), (-1,), []
+        return 0
     keys.append(key)
     tops.append(top)
     del keys[0], tops[0]
@@ -183,7 +184,8 @@ def _plant(items: list[Item]) -> Tree:
         if stack:
             right[stack[-1]] = c
         stack.append(c)
-    return items, starts, keys, tops, left, right, stack[0], []
+    tree += starts, keys, tops, left, right, []
+    return stack[0]
 
 
 def _scan_cluster(items: list[Item], first: int, c: int, end: int) -> tuple[list[Item], list[Item], list[Item]]:
@@ -228,7 +230,7 @@ def _groups(mid: list[Item], bottoms: list[Block] | None) -> list[Piece]:
         if it[1] > reach:
             reach = it[1]
     if bottoms is None:
-        return [(g, None) for g in groups if g]
+        return [([g], -1, 0, len(g), None) for g in groups if g]
     start = min([it[2] & -it[2] for it in groups[0] if it[2]], default=0)  # P's least bottom
     out, seen, joined = [], 0, []
     for blk in bottoms:  # by least bottom; a block past every bottom seen opens a group
@@ -237,15 +239,15 @@ def _groups(mid: list[Item], bottoms: list[Block] | None) -> list[Piece]:
             joined.append(blk)
             continue
         if low > seen:
-            out.append(([], [blk]))
+            out.append(([[]], -1, 0, 0, [blk]))
         else:
-            out[-1][1].append(blk)
+            out[-1][4].append(blk)
         seen |= blk[1]
     if start:
         if out and start < seen:
-            joined = out.pop()[1] + joined
-        out.append((groups[0], joined))
-    return out + [(g, []) for g in groups[1:]]
+            joined = out.pop()[4] + joined
+        out.append(([groups[0]], -1, 0, len(groups[0]), joined))
+    return out + [([g], -1, 0, len(g), []) for g in groups[1:]]
 
 
 def _walk(items: list[Item], step: Callable[..., bool] | None = None, bottoms: list[Block] | None = None) -> list[Block] | int:
@@ -278,29 +280,26 @@ def _walk(items: list[Item], step: Callable[..., bool] | None = None, bottoms: l
     returns true, the walk stops and returns the number of that step.
     """
     out: list[Block] = []
-    work: list = [(items, bottoms)]
+    work: list = [([items], -1, 0, len(items), bottoms)]
     steps = 0
     while work:
         entry = work.pop()
-        size = len(entry)
-        if size == 4:  # a chosen item: its factors are done
+        if len(entry) == 4:  # a chosen item: its factors are done
             out.append(entry[3])
             continue
-        if size == 2:
-            titems, bots = entry
-            if not titems:
-                continue
-            tree = _plant(titems)
-            if tree[4] is None and step is None and titems[-1][0] <= min(map(_largest_top, titems)):
+        tree, i, lo, hi, bots = entry
+        if lo == hi:
+            continue
+        titems = tree[0]
+        if i < 0:
+            i = _plant(tree)
+            if step is None and len(tree[2]) == 1 and titems[-1][0] <= min(map(_largest_top, titems)):
                 out += map(_block, sorted(titems, key=_bottom))  # tops share a point: see above
                 continue
-            i, a, b = tree[6], 0, len(tree[2])
-        else:
-            tree, i, a, b, bots = entry
-        titems, starts, keys, tops, lefts, rights, _, _ = tree
+        _, starts, keys, tops, lefts, rights, _ = tree
         key = keys[i]
         if not key:
-            out += map(_block, titems[starts[a] : starts[b]])
+            out += map(_block, titems[lo:hi])
             continue
         s, e, c = starts[i], starts[i + 1], tops[i]
         chosen = titems[c]
@@ -312,17 +311,19 @@ def _walk(items: list[Item], step: Callable[..., bool] | None = None, bottoms: l
         if bots is not None:
             lb, mb, rb = _route(bots, key)
         if lpart:
-            left = (titems[starts[a] : s] + lpart, lb)
+            lpart = titems[lo:s] + lpart
+            left = ([lpart], -1, 0, len(lpart), lb)
         else:
-            left = (tree, lefts[i], a, i, lb) if a < i else ((), lb) if lb else None
+            left = (tree, lefts[i], lo, s, lb) if lo < s else ([[]], -1, 0, 0, lb) if lb else None
         if rpart:
-            right = (rpart + titems[e : starts[b]], rb)
+            rpart += titems[e:hi]
+            right = ([rpart], -1, 0, len(rpart), rb)
         else:
-            right = (tree, rights[i], i + 1, b, rb) if i + 1 < b else ((), rb) if rb else None
+            right = (tree, rights[i], e, hi, rb) if e < hi else ([[]], -1, 0, 0, rb) if rb else None
         if mb is not None or mid and not all(map(_bottom, mid)):
             groups = _groups(mid, mb)
         else:  # the middle all propagates and no bottom-only block is routed: one group
-            groups = [(mid, None)] if mid else ()
+            groups = [([mid], -1, 0, len(mid), None)] if mid else ()
         if step is not None:
             steps += 1
             if step(chosen, left, groups, right):
@@ -347,15 +348,14 @@ def _broken(chosen: Item, left: Piece | None, groups: list[Piece], right: Piece 
     if len(factors) < 2:
         return False
     reach = 0
-    for piece in factors:
-        if len(piece) == 2:
-            nodes = sum(map(_bottom, piece[0]))
+    for tree, root, lo, hi, _ in factors:
+        if root < 0:  # unplanted: tree[0] is the piece's items
+            nodes = sum(map(_bottom, tree[0]))
         else:
-            tree, _, first, end, _ = piece
-            starts, sums = tree[1], tree[7]
+            sums = tree[6]
             if not sums:
                 sums += accumulate(map(_bottom, tree[0]), initial=0)
-            nodes = sums[starts[end]] - sums[starts[first]]
+            nodes = sums[hi] - sums[lo]
         if nodes & -nodes < reach:  # its least bottom lies below the factor before
             return True
         reach = nodes
@@ -391,14 +391,11 @@ def _structural_failure(diagram: PartitionDiagram) -> str | None:
 
 
 def _blocks(piece: Piece | None) -> list[Block]:
+    """A factor's blocks in canonical order: items by least top, then bottom-only blocks by least bottom."""
     if piece is None:
         return []
-    if len(piece) == 2:
-        items, bots = piece
-    else:
-        tree, _, a, b, bots = piece
-        items = tree[0][tree[1][a] : tree[1][b]]
-    return [*map(_block, items), *(bots or ())]
+    tree, _, lo, hi, bots = piece
+    return [*map(_block, tree[0][lo:hi]), *(bots or ())]
 
 
 def _masks(chosen: Item, left: Piece, groups: Sequence[Piece], right: Piece) -> Split:
@@ -472,14 +469,11 @@ def odot_assemble(factors: Iterable[PartitionDiagram], order: int) -> PartitionD
     return _assemble(order, [blk for f in fs for blk in f.blocks if not _is_singleton(blk)])
 
 
-def _event(split: Split, order: int) -> TraceEvent:
+def _event(split: Split) -> TraceEvent:
+    """A step's event; each factor's blocks already come in canonical order (see :func:`_blocks`)."""
     chosen, left, groups, right = split
     tags = [FactorTag("L"), *(FactorTag("M", j) for j in range(1, len(groups) + 1)), FactorTag("R")]
-    assignment = {
-        _signed(blk): tag
-        for tag, piece in zip(tags, (left, *groups, right))
-        for blk in sorted(piece, key=_block_key(order))
-    }
+    assignment = {_signed(blk): tag for tag, piece in zip(tags, (left, *groups, right)) for blk in piece}
     return TraceEvent(bottom=frozenset(_bits(chosen[1])), assignment=assignment)
 
 
@@ -504,4 +498,4 @@ def sort_diagram_traced(diagram: PartitionDiagram) -> tuple[PartitionDiagram, tu
     bottoms = _bottom_only(diagram.blocks)
     walked = _walk(_titems(diagram.blocks), lambda *split: steps.append(_masks(*split)), bottoms)
     result = _assemble(diagram.order, walked + bottoms)
-    return result, tuple(_event(step, diagram.order) for step in steps)
+    return result, tuple(_event(step) for step in steps)

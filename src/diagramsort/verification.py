@@ -426,7 +426,8 @@ def run_checks(deep: bool = False, seed: int = 2024) -> list[CheckResult]:
             detail = fn()
             ok = True
         except Exception as exc:  # noqa: BLE001 - a failing check must not stop the suite
-            detail = str(exc)
+            # An AssertionError is the check's own verdict (_require); any other exception is a crash.
+            detail = str(exc) if isinstance(exc, AssertionError) else f"{type(exc).__name__}: {exc}"
             ok = False
         results.append(CheckResult(name, ok, detail, time.perf_counter() - start))
     return results

@@ -19,7 +19,7 @@ import diagramsort.cli as cli_module
 import diagramsort.verification as verification_module
 from diagramsort.analysis import VerificationError
 from diagramsort.cli import run
-from diagramsort.core import AlgebraElement, PartitionDiagram, XiPoly, algebra_multiply, parse_diagram
+from diagramsort.core import AlgebraElement, PartitionDiagram, XiPoly, algebra_multiply, format_diagram, parse_diagram
 from diagramsort.sorting import sort_word
 from diagramsort.stretch import SetComposition
 from diagramsort.verification import SORTABLE_COUNTS, CheckResult, run_checks
@@ -204,17 +204,29 @@ def test_verify_survives_a_check_that_raises(monkeypatch, capsys):
     for name in [name for name in vars(verification_module) if name.startswith("_check_")]:
         monkeypatch.setattr(verification_module, name, lambda *args: "stubbed")
 
-    def broken():
-        raise RuntimeError("embedding broke")
+    def raising(exc):
+        def check():
+            raise exc
 
-    monkeypatch.setattr(verification_module, "_check_embedding", broken)
+        return check
+
+    monkeypatch.setattr(verification_module, "_check_embedding", raising(RuntimeError("embedding broke")))
+    monkeypatch.setattr(verification_module, "_check_enumeration", raising(KeyError(3)))
+    # A check's own verdict is an AssertionError from _require and prints without its type.
+    monkeypatch.setattr(verification_module, "_check_monotone", raising(AssertionError("counts fell")))
     results = run_checks()
     assert len(results) == 18
-    assert [(r.name, r.ok, r.detail) for r in results if not r.ok] == [("embedding", False, "embedding broke")]
+    assert [(r.name, r.ok, r.detail) for r in results if not r.ok] == [
+        ("embedding", False, "RuntimeError: embedding broke"),
+        ("enumeration-counts", False, "KeyError: 3"),
+        ("t-sortable-monotone", False, "counts fell"),
+    ]
     assert run(["verify"]) == 2
     captured = capsys.readouterr()
-    assert "FAIL embedding: embedding broke (" in captured.out
-    assert captured.err == "1 of 18 checks failed\n"
+    assert "FAIL embedding: RuntimeError: embedding broke (" in captured.out
+    assert "FAIL enumeration-counts: KeyError: 3 (" in captured.out
+    assert "FAIL t-sortable-monotone: counts fell (" in captured.out
+    assert captured.err == "3 of 18 checks failed\n"
 
 
 def _exit_and_error(*argv):
@@ -242,11 +254,26 @@ def _exit_and_error(*argv):
         (lambda: eval(repr(d := parse_diagram(EX_LEFT, 5)), {"parse_diagram": parse_diagram}) == d, True),
         (lambda: repr(XiPoly([1, 0, 2])), "XiPoly((1, 0, 2))"),
         (lambda: repr(AlgebraElement(2, {})), "AlgebraElement(2, {})"),
+        (lambda: repr(AlgebraElement(1, {parse_diagram("{1,1'}", 1): XiPoly([3, 2])})), "(3 + 2*xi)*{1,1'}"),
+        (lambda: XiPoly() * XiPoly([1]) == XiPoly(), True),
+        (lambda: str(d := parse_diagram(EX_LEFT, 5)) == format_diagram(d), True),
+        (
+            lambda: [
+                parse_diagram(EX_LEFT, 5) == "x",
+                XiPoly([1]) == 1,
+                AlgebraElement(1, {}) == 0,
+                SetComposition.parse("1|2") == "1|2",
+            ],
+            [False] * 4,
+        ),
+        (lambda: hash(XiPoly([1, 2])) == hash(XiPoly((1, 2))), True),
+        (lambda: hash(SetComposition.parse("2,1|3")) == hash(SetComposition.parse("1,2|3")), True),
     ],
     ids=[
         "census-negative-range", "census-negative-order", "count-sortable-negative-n", "sort-word-zero-letter",
         "diagram-negative-order", "xi-negative-power", "algebra-order-mismatch", "composition-empty-part",
         "composition-blank-text", "diagram-repr-round-trip", "xipoly-repr", "zero-element-repr",
+        "element-repr", "xipoly-times-zero", "diagram-str", "foreign-equality", "xipoly-hash", "composition-hash",
     ],
 )
 def test_boundary_paths(call, expected):
@@ -301,6 +328,17 @@ def test_python_dash_m_entry_points(module):
     bad = call("parse", "--order", "1", "{1,5}")
     assert bad.returncode == 1
     assert bad.stderr.startswith("error:")
+
+
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
+
+
+@pytest.mark.parametrize("demo", sorted(p.name for p in DEMOS.glob("*.py")))
+def test_demo_runs(demo):
+    env = {**os.environ, "PYTHONPATH": str(DEMOS.parent / "src")}
+    proc = subprocess.run([sys.executable, str(DEMOS / demo)], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip()
 
 
 def test_import_loads_no_heavy_modules():

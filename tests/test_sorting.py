@@ -20,6 +20,7 @@ from reference import (
     structural_candidate,
     trace_by_definition,
 )
+from diagramsort.analysis import is_sss_theorem
 from diagramsort.core import (
     PartitionDiagram,
     canonicalize,
@@ -333,6 +334,33 @@ def test_sort_on_planted_chains(monkeypatch):
     assert sort_diagram(d) == d
 
 
+def test_one_block_chains_plant_each_item_once(monkeypatch):
+    # A subtree is a range of its planted tree's items, so every walk over a
+    # chain of one-block clusters plants all of its items in one call.
+    planted = []
+    real_plant = sorting_module._plant
+
+    def counting_plant(tree):
+        planted.append(len(tree[0]))
+        return real_plant(tree)
+
+    monkeypatch.setattr(sorting_module, "_plant", counting_plant)
+    # Each trace event lists every block below its step, quadratic on a chain: build none.
+    monkeypatch.setattr(sorting_module, "_masks", lambda *split: None)
+    monkeypatch.setattr(sorting_module, "_event", lambda split: None)
+    rng = random.Random(21)
+    for d in (
+        embed_permutation(range(1, 2001)),
+        embed_permutation(range(2000, 0, -1)),
+        stretched_chain(rng, [rng.randint(1, 3) for _ in range(1000)], False, None),
+        stretched_chain(rng, [rng.randint(1, 3) for _ in range(300)], True, None),
+    ):
+        for walk in (sort_diagram, sort_diagram_traced, is_sss_theorem):
+            planted.clear()
+            walk(d)
+            assert planted == [d.propagation_number()], (walk.__name__, d.order)
+
+
 def test_common_point_pieces_sort_without_a_scan(monkeypatch):
     # Every top interval holds top node 4; top-only, bottom-only and singleton blocks mixed in.
     d = parse_diagram("{1,7,2'|2,5,7',8'|3,8|4,1',3'|6|4',5'|6'}", 8)
@@ -412,6 +440,30 @@ def test_trace_matches_reference():
     for base in ("decreasing", "increasing"):
         d = chain_diagram(rng, 120, base, "middle")
         assert _events(sort_diagram_traced(d)[1]) == trace_by_definition(d)
+
+
+def test_trace_lists_blocks_in_canonical_order():
+    # ``sort --trace`` prints the assignment in its order: factors L, M1..Mk, R,
+    # each factor's blocks in canonical order (by least node, tops before
+    # bottoms).  test_trace_matches_reference compares dicts, so it cannot see this.
+    def check(d):
+        n = d.order
+        for event in sort_diagram_traced(d)[1]:
+            keys = [
+                ("LMR".index(tag.kind), tag.group, min(x if x > 0 else n - x for x in blk))
+                for blk, tag in event.assignment.items()
+            ]
+            assert keys == sorted(keys), format_diagram(d)
+
+    for n in range(5):
+        for d in enumerate_diagrams(n):
+            check(d)
+    rng = random.Random(22)
+    for _ in range(300):
+        check(sparse_diagram(rng, rng.randint(5, 24), rng.randint(2, 12)))
+    for base in ("decreasing", "increasing"):
+        for plant in (None, "root", "middle", "leaf"):
+            check(chain_diagram(rng, 60, base, plant))
 
 
 def test_trace_of_identity_two():
