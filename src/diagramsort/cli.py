@@ -36,24 +36,25 @@ def _format_nodes(nodes: Sequence[int]) -> str:
     return "{" + ",".join([str(i) for i in tops] + [f"{i}'" for i in bots]) + "}"
 
 
-def _trace_line(event: TraceEvent) -> str:
-    """One split step; ``sorting._event`` lists the blocks as L, M1..Mk, R."""
+def _trace_line(event: TraceEvent, texts: dict[frozenset[int], str]) -> str:
+    """One split step; ``sorting._event`` lists the blocks as L, M1..Mk, R.  ``texts`` holds block texts for one sort."""
     columns: dict[str, list[str]] = {"L": []}
     for block, (kind, group) in event.assignment.items():
-        columns.setdefault(f"M{group}" if group else kind, []).append(_format_nodes(tuple(block)))
+        text = texts.get(block) or texts.setdefault(block, _format_nodes(tuple(block)))
+        columns.setdefault(f"M{group}" if group else kind, []).append(text)
     columns.setdefault("R", [])
     chosen = "{" + ",".join(f"{i}'" for i in sorted(event.bottom)) + "}"
     return " ".join([f"B={chosen}", *(f"{label}=[{','.join(blocks)}]" for label, blocks in columns.items())])
 
 
 def _parse_order_range(text: str) -> list[int]:
-    if ".." in text:
-        lo_text, hi_text = text.split("..", 1)
-        lo, hi = int(lo_text), int(hi_text)
-        if lo > hi:
-            raise ValueError("empty order range")
-    else:
-        lo = hi = int(text)
+    lo_text, dots, hi_text = text.partition("..")
+    try:
+        lo, hi = int(lo_text), int(hi_text if dots else lo_text)
+    except ValueError:
+        raise ValueError(f"bad order range {text!r}") from None
+    if lo > hi:
+        raise ValueError("empty order range")
     if lo < 0:
         raise ValueError("orders must be nonnegative")
     return list(range(lo, hi + 1))
@@ -77,8 +78,9 @@ def _cmd_sort(args: argparse.Namespace) -> int:
     diagram = parse_diagram(args.diagram, args.order)
     if args.trace:
         result, trace = sort_diagram_traced(diagram)
+        texts: dict[frozenset[int], str] = {}
         for event in trace:
-            print(_trace_line(event))
+            print(_trace_line(event, texts))
     else:
         result = sort_diagram(diagram)
     print(format_diagram(result))

@@ -54,8 +54,6 @@ Tree = list  # [items], filled in place by _plant
 # piece when made cost 1.30x on is_sss_theorem over random candidates and
 # 1.12x on the sort-large ops (2-core x86, Python 3.11, best of 20).
 Piece = tuple
-# (chosen, left, middle_groups, right) of one split step, as mask lists.
-Split = tuple[Block, list[Block], list[list[Block]], list[Block]]
 
 
 def sort_word(word: Sequence[int]) -> tuple[int, ...]:
@@ -398,10 +396,6 @@ def _blocks(piece: Piece | None) -> list[Block]:
     return [*map(_block, tree[0][lo:hi]), *(bots or ())]
 
 
-def _masks(chosen: Item, left: Piece, groups: Sequence[Piece], right: Piece) -> Split:
-    return chosen[3], _blocks(left), [_blocks(g) for g in groups], _blocks(right)
-
-
 def _assemble(order: int, blocks: list[Block]) -> PartitionDiagram:
     """Fresh consecutive top labels in list order, propagating blocks first; bottoms stay.
 
@@ -432,18 +426,14 @@ def decompose(diagram: PartitionDiagram) -> Decomposition:
     nodes, and whatever straddles goes to the middle.
     """
     n = diagram.order
-    first: list[Split] = []
-
-    def stop(*split) -> bool:
-        first.append(_masks(*split))
-        return True
-
-    _walk(_titems(diagram.blocks), stop, _bottom_only(diagram.blocks))
+    first: list[tuple] = []
+    _walk(_titems(diagram.blocks), lambda *split: first.append(split) or True, _bottom_only(diagram.blocks))  # stop at once
     if not first:
         raise ValueError("diagram has no propagating block")
-    chosen, left, groups, right = first[0]
+    (_, _, _, block), left, groups, right = first[0]
     pad = lambda blks: PartitionDiagram(n, _pad_blocks(blks, n))
-    return Decomposition(_signed(chosen), pad(left), tuple(map(pad, groups)), pad(right), pad([chosen]))
+    middles = tuple(pad(_blocks(g)) for g in groups)
+    return Decomposition(_signed(block), pad(_blocks(left)), middles, pad(_blocks(right)), pad([block]))
 
 
 def odot_assemble(factors: Iterable[PartitionDiagram], order: int) -> PartitionDiagram:
@@ -469,12 +459,14 @@ def odot_assemble(factors: Iterable[PartitionDiagram], order: int) -> PartitionD
     return _assemble(order, [blk for f in fs for blk in f.blocks if not _is_singleton(blk)])
 
 
-def _event(split: Split) -> TraceEvent:
-    """A step's event; each factor's blocks already come in canonical order (see :func:`_blocks`)."""
-    chosen, left, groups, right = split
+def _event(signed: dict, chosen: Item, left: Piece | None, groups: Sequence[Piece], right: Piece | None) -> TraceEvent:
+    """A step's event, factors in canonical order (see :func:`_blocks`); ``signed`` holds node sets for one sort."""
     tags = [FactorTag("L"), *(FactorTag("M", j) for j in range(1, len(groups) + 1)), FactorTag("R")]
-    assignment = {_signed(blk): tag for tag, piece in zip(tags, (left, *groups, right)) for blk in piece}
-    return TraceEvent(bottom=frozenset(_bits(chosen[1])), assignment=assignment)
+    assignment = {}
+    for tag, piece in zip(tags, (left, *groups, right)):
+        for blk in _blocks(piece):
+            assignment[signed.get(blk) or signed.setdefault(blk, _signed(blk))] = tag
+    return TraceEvent(bottom=frozenset(_bits(chosen[2])), assignment=assignment)
 
 
 def sort_diagram(diagram: PartitionDiagram) -> PartitionDiagram:
@@ -494,8 +486,8 @@ def sort_diagram_traced(diagram: PartitionDiagram) -> tuple[PartitionDiagram, tu
     """Like :func:`sort_diagram`, also returning one event per split step."""
     if diagram.propagation_number() == 0:
         return diagram, ()
-    steps: list[Split] = []
+    events: list[TraceEvent] = []
+    signed: dict[Block, frozenset[int]] = {}
     bottoms = _bottom_only(diagram.blocks)
-    walked = _walk(_titems(diagram.blocks), lambda *split: steps.append(_masks(*split)), bottoms)
-    result = _assemble(diagram.order, walked + bottoms)
-    return result, tuple(_event(step) for step in steps)
+    walked = _walk(_titems(diagram.blocks), lambda *split: events.append(_event(signed, *split)), bottoms)
+    return _assemble(diagram.order, walked + bottoms), tuple(events)

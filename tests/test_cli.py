@@ -19,7 +19,15 @@ import diagramsort.cli as cli_module
 import diagramsort.verification as verification_module
 from diagramsort.analysis import VerificationError
 from diagramsort.cli import run
-from diagramsort.core import AlgebraElement, PartitionDiagram, XiPoly, algebra_multiply, format_diagram, parse_diagram
+from diagramsort.core import (
+    AlgebraElement,
+    PartitionDiagram,
+    XiPoly,
+    algebra_multiply,
+    embed_permutation,
+    format_diagram,
+    parse_diagram,
+)
 from diagramsort.sorting import sort_word
 from diagramsort.stretch import SetComposition
 from diagramsort.verification import SORTABLE_COUNTS, CheckResult, run_checks
@@ -59,6 +67,17 @@ def test_sort_trace_lines(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "B={3'} L=[{1,2'}] R=[{3,1'}]"
     assert lines[-1] == "{1,2'|2,1'|3,3'}"
+
+
+def test_sort_trace_formats_each_block_once(capsys, monkeypatch):
+    # 299 trace lines list 44,850 blocks in all; each block's text is built once.
+    calls = []
+    real_format = cli_module._format_nodes
+    monkeypatch.setattr(cli_module, "_format_nodes", lambda nodes: calls.append(frozenset(nodes)) or real_format(nodes))
+    assert run(["sort", "--trace", "--order", "300", format_diagram(embed_permutation(range(1, 301)))]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 301 and lines[0].startswith("B={300'} L=[{1,1'},{2,2'},")
+    assert len(calls) == len(set(calls)) <= 300
 
 
 def test_stretch_subcommand(capsys):
@@ -241,6 +260,9 @@ def _exit_and_error(*argv):
     [
         (lambda: _exit_and_error("census", "--n=-1..2"), (1, "error: orders must be nonnegative\n")),
         (lambda: _exit_and_error("census", "--n=-1"), (1, "error: orders must be nonnegative\n")),
+        (lambda: _exit_and_error("census", "--n=1..x"), (1, "error: bad order range '1..x'\n")),
+        (lambda: _exit_and_error("census", "--n=1.."), (1, "error: bad order range '1..'\n")),
+        (lambda: _exit_and_error("census", "--n="), (1, "error: bad order range ''\n")),
         (lambda: _exit_and_error("count-sortable", "--n", "-1"), (1, "error: n must be nonnegative\n")),
         (lambda: sort_word((0, 1)), ValueError("letters must be positive")),
         (lambda: PartitionDiagram(-1, ()), ValueError("order must be nonnegative")),
@@ -270,7 +292,8 @@ def _exit_and_error(*argv):
         (lambda: hash(SetComposition.parse("2,1|3")) == hash(SetComposition.parse("1,2|3")), True),
     ],
     ids=[
-        "census-negative-range", "census-negative-order", "count-sortable-negative-n", "sort-word-zero-letter",
+        "census-negative-range", "census-negative-order", "census-bad-range-end", "census-open-range",
+        "census-empty-order", "count-sortable-negative-n", "sort-word-zero-letter",
         "diagram-negative-order", "xi-negative-power", "algebra-order-mismatch", "composition-empty-part",
         "composition-blank-text", "diagram-repr-round-trip", "xipoly-repr", "zero-element-repr",
         "element-repr", "xipoly-times-zero", "diagram-str", "foreign-equality", "xipoly-hash", "composition-hash",

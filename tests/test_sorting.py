@@ -346,8 +346,7 @@ def test_one_block_chains_plant_each_item_once(monkeypatch):
 
     monkeypatch.setattr(sorting_module, "_plant", counting_plant)
     # Each trace event lists every block below its step, quadratic on a chain: build none.
-    monkeypatch.setattr(sorting_module, "_masks", lambda *split: None)
-    monkeypatch.setattr(sorting_module, "_event", lambda split: None)
+    monkeypatch.setattr(sorting_module, "_event", lambda signed, *split: None)
     rng = random.Random(21)
     for d in (
         embed_permutation(range(1, 2001)),
@@ -464,6 +463,18 @@ def test_trace_lists_blocks_in_canonical_order():
     for base in ("decreasing", "increasing"):
         for plant in (None, "root", "middle", "leaf"):
             check(chain_diagram(rng, 60, base, plant))
+
+
+def test_trace_builds_each_block_once(monkeypatch):
+    # A one-block chain lists every block below each step: 44,850 entries at
+    # n = 300, but each block's node set is built once per sort.
+    calls = []
+    real_signed = sorting_module._signed
+    monkeypatch.setattr(sorting_module, "_signed", lambda blk: calls.append(blk) or real_signed(blk))
+    d = embed_permutation(range(1, 301))
+    _, trace = sort_diagram_traced(d)
+    assert sum(len(event.assignment) for event in trace) == 299 * 300 // 2
+    assert len(calls) == len(set(calls)) <= len(_non_singleton_sets(d))
 
 
 def test_trace_of_identity_two():
