@@ -74,7 +74,9 @@ def _block_key(order: int) -> Callable[[tuple[int, int]], int]:
 
 
 def _pad_blocks(blocks: Iterable[tuple[int, int]], order: int) -> list[tuple[int, int]]:
-    """Extend a partial block list with singletons for every uncovered node."""
+    """Extend a partial block list with singletons for every uncovered node; the order is checked first."""
+    if order < 0:
+        raise ValueError("order must be nonnegative")
     out = list(blocks)
     seen_t = seen_b = 0
     for t, b in out:
@@ -172,15 +174,15 @@ def canonicalize(raw_blocks: Iterable[Iterable[int]], order: int) -> PartitionDi
     """Build the canonical diagram from blocks of signed nodes.
 
     Nodes not mentioned by any block become singletons.  Raises
-    ``ValueError`` if a node repeats, is zero, or lies outside 1..order,
-    or if a block is empty.
+    ``ValueError`` if the order is negative (checked first), if a node
+    repeats, is zero, or lies outside 1..order, or if a block is empty.
 
     >>> canonicalize([{2, -1}, {1, 2}], 2)
     Traceback (most recent call last):
         ...
     ValueError: blocks overlap
     """
-    return PartitionDiagram(order, _pad_blocks([_block_masks(raw, order) for raw in raw_blocks], order))
+    return PartitionDiagram(order, _pad_blocks((_block_masks(raw, order) for raw in raw_blocks), order))
 
 
 def _block_masks(nodes: Iterable[int], order: int) -> tuple[int, int]:
@@ -326,6 +328,8 @@ def enumerate_diagrams(order: int, prefix: tuple[int, ...] = ()) -> Iterator[Par
     Bell(2n) diagrams in total.  ``prefix`` restricts the run to strings
     extending it, which partitions the space for parallel scans.
     """
+    if order < 0:
+        raise ValueError("order must be nonnegative")
     for rgs in _rgs_strings(2 * order, prefix):
         yield _diagram_from_rgs(order, rgs)
 

@@ -47,12 +47,11 @@ Block = tuple[int, int]
 # A block with top nodes: (least top, largest top, bottom mask, block), tops from 1.
 Item = tuple[int, int, int, Block]
 Tree = list  # [items], filled in place by _plant
-# A split's factor: (tree, root, lo, hi, bottom-only blocks), its items
-# tree[0][lo:hi].  A fresh piece is ([items], -1, 0, len(items), bottoms) and
-# is planted only when the walk pops it: the structural test stops at the
-# first broken step, so most pieces it makes are never walked.  Planting each
-# piece when made cost 1.30x on is_sss_theorem over random candidates and
-# 1.12x on the sort-large ops (2-core x86, Python 3.11, best of 20).
+# A split's factor: (tree, root, lo, hi), its items tree[0][lo:hi].  A fresh piece
+# is ([items], -1, 0, len(items)) and is planted only when the walk pops it: the
+# structural test stops at the first broken step, so most pieces it makes are never
+# walked.  Planting each piece when made cost 1.30x on is_sss_theorem over random
+# candidates and 1.12x on the sort-large ops (2-core x86, Python 3.11, best of 20).
 Piece = tuple
 
 
@@ -126,6 +125,7 @@ def _is_singleton(block: Block) -> bool:
 
 
 _least_top, _largest_top, _bottom, _block = itemgetter(0), itemgetter(1), itemgetter(2), itemgetter(3)
+_L, _R = FactorTag("L"), FactorTag("R")  # the side factors' tags, shared by every trace event
 
 
 def _titems(blocks: Iterable[Block]) -> list[Item]:
@@ -201,22 +201,12 @@ def _scan_cluster(items: list[Item], first: int, c: int, end: int) -> tuple[list
     return left, mid, items[r:end]
 
 
-def _route(bottoms: list[Block], key: int) -> tuple[list[Block], list[Block], list[Block]]:
-    """Bottom-only blocks strictly left of, across and strictly right of C's bottoms."""
-    first, upto = key & -key, (1 << key.bit_length()) - 1
-    left, mid, right = [], [], []
-    for blk in bottoms:
-        (left if blk[1] < first else right if not blk[1] & upto else mid).append(blk)
-    return left, mid, right
-
-
-def _groups(mid: list[Item], bottoms: list[Block] | None) -> list[Piece]:
+def _groups(mid: list[Item]) -> list[Piece]:
     """The middle groups as pieces: components of overlapping extents in 1' < ... < n' < 1 < ... < n.
 
-    Propagating blocks all reach across n' | 1, so they form one group P
-    with the top-only blocks chained to their tops; other top-only groups
-    follow P.  Bottom-only groups come before P; the last joins it when it
-    reaches P's least bottom, and all after P's least bottom join it.
+    Propagating blocks all reach across n' | 1, so they form one group P,
+    first, with the top-only blocks chained to their tops; other top-only
+    groups follow P.
     """
     reach = max([it[1] for it in mid if it[2]], default=0)
     groups: list[list[Item]] = [[]]
@@ -227,28 +217,10 @@ def _groups(mid: list[Item], bottoms: list[Block] | None) -> list[Piece]:
             groups.append([it])
         if it[1] > reach:
             reach = it[1]
-    if bottoms is None:
-        return [([g], -1, 0, len(g), None) for g in groups if g]
-    start = min([it[2] & -it[2] for it in groups[0] if it[2]], default=0)  # P's least bottom
-    out, seen, joined = [], 0, []
-    for blk in bottoms:  # by least bottom; a block past every bottom seen opens a group
-        low = blk[1] & -blk[1]
-        if start and low > start:
-            joined.append(blk)
-            continue
-        if low > seen:
-            out.append(([[]], -1, 0, 0, [blk]))
-        else:
-            out[-1][4].append(blk)
-        seen |= blk[1]
-    if start:
-        if out and start < seen:
-            joined = out.pop()[4] + joined
-        out.append(([groups[0]], -1, 0, len(groups[0]), joined))
-    return out + [([g], -1, 0, len(g), []) for g in groups[1:]]
+    return [([g], -1, 0, len(g)) for g in groups if g]
 
 
-def _walk(items: list[Item], step: Callable[..., bool] | None = None, bottoms: list[Block] | None = None) -> list[Block] | int:
+def _walk(items: list[Item], step: Callable[..., bool] | None = None) -> list[Block] | int:
     """Run the split recursion depth first; the blocks with top nodes in walk order.
 
     Factors come out as left, middle groups, right, then the chosen block
@@ -269,25 +241,19 @@ def _walk(items: list[Item], step: Callable[..., bool] | None = None, bottoms: l
     top-only blocks in least-top order, then its propagating blocks by
     ascending bottom mask: one stable sort by bottom mask.
 
-    Bottom-only blocks never change the image: they take no top label,
-    are never C, and join or split no group of items, since propagating
-    middle blocks share one group and a bottom-only extent ends at or
-    before n.  So they are routed only when ``bottoms`` (by least bottom)
-    is given.  ``step(chosen, left, groups, right)`` is called on each
-    split in pre-order, C an item and the factors pieces or None; if it
-    returns true, the walk stops and returns the number of that step.
+    ``step(chosen, left, groups, right)`` is called on each split in
+    pre-order, C an item and the factors pieces or None; if it returns
+    true, the walk stops and returns the number of that step.
     """
     out: list[Block] = []
-    work: list = [([items], -1, 0, len(items), bottoms)]
+    work: list = [([items], -1, 0, len(items))] if items else []
     steps = 0
     while work:
         entry = work.pop()
-        if len(entry) == 4:  # a chosen item: its factors are done
-            out.append(entry[3])
+        if len(entry) == 2:  # a chosen block: its factors are done
+            out.append(entry)
             continue
-        tree, i, lo, hi, bots = entry
-        if lo == hi:
-            continue
+        tree, i, lo, hi = entry
         titems = tree[0]
         if i < 0:
             i = _plant(tree)
@@ -305,28 +271,25 @@ def _walk(items: list[Item], step: Callable[..., bool] | None = None, bottoms: l
             lpart, mid, rpart = _scan_cluster(titems, s, c, e)
         else:
             lpart = mid = rpart = ()
-        lb = mb = rb = None
-        if bots is not None:
-            lb, mb, rb = _route(bots, key)
         if lpart:
             lpart = titems[lo:s] + lpart
-            left = ([lpart], -1, 0, len(lpart), lb)
+            left = ([lpart], -1, 0, len(lpart))
         else:
-            left = (tree, lefts[i], lo, s, lb) if lo < s else ([[]], -1, 0, 0, lb) if lb else None
+            left = (tree, lefts[i], lo, s) if lo < s else None
         if rpart:
             rpart += titems[e:hi]
-            right = ([rpart], -1, 0, len(rpart), rb)
+            right = ([rpart], -1, 0, len(rpart))
         else:
-            right = (tree, rights[i], e, hi, rb) if e < hi else ([[]], -1, 0, 0, rb) if rb else None
-        if mb is not None or mid and not all(map(_bottom, mid)):
-            groups = _groups(mid, mb)
-        else:  # the middle all propagates and no bottom-only block is routed: one group
-            groups = [([mid], -1, 0, len(mid), None)] if mid else ()
+            right = (tree, rights[i], e, hi) if e < hi else None
+        if mid and not all(map(_bottom, mid)):
+            groups = _groups(mid)
+        else:  # the middle all propagates: one group
+            groups = [([mid], -1, 0, len(mid))] if mid else ()
         if step is not None:
             steps += 1
             if step(chosen, left, groups, right):
                 return steps
-        work.append(chosen)
+        work.append(chosen[3])
         if right:
             work.append(right)
         if groups:
@@ -346,7 +309,7 @@ def _broken(chosen: Item, left: Piece | None, groups: list[Piece], right: Piece 
     if len(factors) < 2:
         return False
     reach = 0
-    for tree, root, lo, hi, _ in factors:
+    for tree, root, lo, hi in factors:
         if root < 0:  # unplanted: tree[0] is the piece's items
             nodes = sum(map(_bottom, tree[0]))
         else:
@@ -388,12 +351,45 @@ def _structural_failure(diagram: PartitionDiagram) -> str | None:
     return f"split step {step}: factor order broken" if type(step) is int else None
 
 
-def _blocks(piece: Piece | None) -> list[Block]:
-    """A factor's blocks in canonical order: items by least top, then bottom-only blocks by least bottom."""
-    if piece is None:
-        return []
-    tree, _, lo, hi, bots = piece
-    return [*map(_block, tree[0][lo:hi]), *(bots or ())]
+def _routed(pending: list[list[Block]], chosen: Item, left: Piece | None, groups: Sequence[Piece], right: Piece | None) -> list[list[Block]]:
+    """A split's factors L, M1..Mk, R as block lists in canonical order, bottom-only blocks placed.
+
+    Bottom-only blocks never change the image: they take no top label, are
+    never C, and join or split no group of items, since propagating middle
+    blocks share one group and a bottom-only extent ends at or before n.  So
+    the walk never sees them; they go here, after each factor's items, as
+    :func:`decompose` says.  Middle groups of them precede the propagating
+    group P, which takes the last one if it reaches P's least bottom, and
+    every block past that.  ``pending`` holds the bottom-only blocks of each
+    factor still to split, the next last; the walk splits exactly those with
+    a propagating block, in pre-order, so a step pops its own list.
+    """
+    key = chosen[2]
+    first, upto = key & -key, (1 << key.bit_length()) - 1
+    lb, mb, rb = [], [], []
+    for blk in pending.pop():
+        (lb if blk[1] < first else rb if not blk[1] & upto else mb).append(blk)
+    litems = left[0][0][left[2] : left[3]] if left else ()
+    ritems = right[0][0][right[2] : right[3]] if right else ()
+    mids = [[*map(_block, tree[0][lo:hi])] for tree, _, lo, hi in groups]
+    start = min([b & -b for _, b in mids[0] if b], default=0) if mids else 0  # P's least bottom
+    cut = bisect_right(mb, start, key=lambda blk: blk[1] & -blk[1]) if start else len(mb)
+    out, seen = [], 0
+    for blk in mb[:cut]:  # a block past every bottom seen opens a group
+        if blk[1] & -blk[1] > seen:
+            out.append([blk])
+        else:
+            out[-1].append(blk)
+        seen |= blk[1]
+    if any(map(_bottom, ritems)):
+        pending.append(rb)
+    if start:
+        joined = out.pop() + mb[cut:] if out and start < seen else mb[cut:]
+        pending.append(joined)
+        mids[0] += joined
+    if any(map(_bottom, litems)):
+        pending.append(lb)
+    return [[*map(_block, litems), *lb], *out, *mids, [*map(_block, ritems), *rb]]
 
 
 def _assemble(order: int, blocks: list[Block]) -> PartitionDiagram:
@@ -427,13 +423,13 @@ def decompose(diagram: PartitionDiagram) -> Decomposition:
     """
     n = diagram.order
     first: list[tuple] = []
-    _walk(_titems(diagram.blocks), lambda *split: first.append(split) or True, _bottom_only(diagram.blocks))  # stop at once
+    _walk(_titems(diagram.blocks), lambda *split: first.append(split) or True)  # stop at once
     if not first:
         raise ValueError("diagram has no propagating block")
-    (_, _, _, block), left, groups, right = first[0]
+    chosen, *sides = first[0]
+    left, *middles, right = _routed([_bottom_only(diagram.blocks)], chosen, *sides)
     pad = lambda blks: PartitionDiagram(n, _pad_blocks(blks, n))
-    middles = tuple(pad(_blocks(g)) for g in groups)
-    return Decomposition(_signed(block), pad(_blocks(left)), middles, pad(_blocks(right)), pad([block]))
+    return Decomposition(_signed(chosen[3]), pad(left), tuple(map(pad, middles)), pad(right), pad([chosen[3]]))
 
 
 def odot_assemble(factors: Iterable[PartitionDiagram], order: int) -> PartitionDiagram:
@@ -459,12 +455,12 @@ def odot_assemble(factors: Iterable[PartitionDiagram], order: int) -> PartitionD
     return _assemble(order, [blk for f in fs for blk in f.blocks if not _is_singleton(blk)])
 
 
-def _event(signed: dict, chosen: Item, left: Piece | None, groups: Sequence[Piece], right: Piece | None) -> TraceEvent:
-    """A step's event, factors in canonical order (see :func:`_blocks`); ``signed`` holds node sets for one sort."""
-    tags = [FactorTag("L"), *(FactorTag("M", j) for j in range(1, len(groups) + 1)), FactorTag("R")]
+def _event(signed: dict, chosen: Item, factors: list[list[Block]]) -> TraceEvent:
+    """A step's event from its factors L, M1..Mk, R (see :func:`_routed`); ``signed`` holds node sets for one sort."""
+    tags = [_L, *(FactorTag("M", j) for j in range(1, len(factors) - 1)), _R]
     assignment = {}
-    for tag, piece in zip(tags, (left, *groups, right)):
-        for blk in _blocks(piece):
+    for tag, blocks in zip(tags, factors):
+        for blk in blocks:
             assignment[signed.get(blk) or signed.setdefault(blk, _signed(blk))] = tag
     return TraceEvent(bottom=frozenset(_bits(chosen[2])), assignment=assignment)
 
@@ -488,6 +484,6 @@ def sort_diagram_traced(diagram: PartitionDiagram) -> tuple[PartitionDiagram, tu
         return diagram, ()
     events: list[TraceEvent] = []
     signed: dict[Block, frozenset[int]] = {}
-    bottoms = _bottom_only(diagram.blocks)
-    walked = _walk(_titems(diagram.blocks), lambda *split: events.append(_event(signed, *split)), bottoms)
-    return _assemble(diagram.order, walked + bottoms), tuple(events)
+    pending = [_bottom_only(diagram.blocks)]
+    walked = _walk(_titems(diagram.blocks), lambda *split: events.append(_event(signed, split[0], _routed(pending, *split))))
+    return _assemble(diagram.order, walked + [blk for blk in diagram.blocks if not blk[0]]), tuple(events)

@@ -24,12 +24,14 @@ from diagramsort.core import (
     PartitionDiagram,
     XiPoly,
     algebra_multiply,
+    canonicalize,
     embed_permutation,
+    enumerate_diagrams,
     format_diagram,
     parse_diagram,
 )
-from diagramsort.sorting import sort_word
-from diagramsort.stretch import SetComposition
+from diagramsort.sorting import odot_assemble, sort_word
+from diagramsort.stretch import SetComposition, delta_k
 from diagramsort.verification import SORTABLE_COUNTS, CheckResult, run_checks
 
 EX_LEFT = "{1,4|2,3,4',5'|5|1',3'|2'}"
@@ -266,6 +268,11 @@ def _exit_and_error(*argv):
         (lambda: _exit_and_error("count-sortable", "--n", "-1"), (1, "error: n must be nonnegative\n")),
         (lambda: sort_word((0, 1)), ValueError("letters must be positive")),
         (lambda: PartitionDiagram(-1, ()), ValueError("order must be nonnegative")),
+        (lambda: canonicalize([], -1), ValueError("order must be nonnegative")),
+        (lambda: canonicalize([{1}], -1), ValueError("order must be nonnegative")),
+        (lambda: delta_k([], -1), ValueError("order must be nonnegative")),
+        (lambda: odot_assemble([], -1), ValueError("order must be nonnegative")),
+        (lambda: list(enumerate_diagrams(-1)), ValueError("order must be nonnegative")),
         (lambda: XiPoly.xi_power(-1), ValueError("exponent must be nonnegative")),
         (
             lambda: algebra_multiply(AlgebraElement(1, {}), AlgebraElement(2, {})),
@@ -294,7 +301,8 @@ def _exit_and_error(*argv):
     ids=[
         "census-negative-range", "census-negative-order", "census-bad-range-end", "census-open-range",
         "census-empty-order", "count-sortable-negative-n", "sort-word-zero-letter",
-        "diagram-negative-order", "xi-negative-power", "algebra-order-mismatch", "composition-empty-part",
+        "diagram-negative-order", "canonicalize-negative-order", "canonicalize-negative-order-before-nodes",
+        "delta-negative-order", "odot-negative-order", "enumerate-negative-order", "xi-negative-power", "algebra-order-mismatch", "composition-empty-part",
         "composition-blank-text", "diagram-repr-round-trip", "xipoly-repr", "zero-element-repr",
         "element-repr", "xipoly-times-zero", "diagram-str", "foreign-equality", "xipoly-hash", "composition-hash",
     ],

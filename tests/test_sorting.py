@@ -126,6 +126,32 @@ def test_decompose_partitions_the_non_singleton_blocks(d):
     assert set(scattered) | {dec.block} == _non_singleton_sets(d) | {dec.block}
 
 
+def test_decompose_matches_reference():
+    # The first split step of the slow reference: the chosen block's bottoms
+    # and every other non-singleton block's factor, middle groups in order.
+    def check(d):
+        if d.propagation_number() == 0:
+            return
+        dec = decompose(d)
+        factors = [("L", 0, dec.left), *(("M", j, m) for j, m in enumerate(dec.middles, 1)), ("R", 0, dec.right)]
+        assignment = {blk: (kind, group) for kind, group, f in factors for blk in _non_singleton_sets(f)}
+        bottom = frozenset(-x for x in dec.block if x < 0)
+        assert (bottom, assignment) == trace_by_definition(d)[0], format_diagram(d)
+        assert dec.padded_block == canonicalize([dec.block], d.order)
+
+    for n in range(5):
+        for d in enumerate_diagrams(n):
+            check(d)
+    rng = random.Random(23)
+    for _ in range(300):
+        check(sparse_diagram(rng, rng.randint(5, 24), rng.randint(2, 12)))
+    for base in ("decreasing", "increasing"):
+        for plant in (None, "root", "middle", "leaf"):
+            check(chain_diagram(rng, 60, base, plant))
+    for _ in range(75):
+        check(common_point_diagram(rng, rng.randint(5, 40)))
+
+
 # --- odot_assemble ---------------------------------------------------------
 
 
@@ -346,7 +372,7 @@ def test_one_block_chains_plant_each_item_once(monkeypatch):
 
     monkeypatch.setattr(sorting_module, "_plant", counting_plant)
     # Each trace event lists every block below its step, quadratic on a chain: build none.
-    monkeypatch.setattr(sorting_module, "_event", lambda signed, *split: None)
+    monkeypatch.setattr(sorting_module, "_event", lambda signed, chosen, factors: None)
     rng = random.Random(21)
     for d in (
         embed_permutation(range(1, 2001)),
@@ -439,6 +465,9 @@ def test_trace_matches_reference():
     for base in ("decreasing", "increasing"):
         d = chain_diagram(rng, 120, base, "middle")
         assert _events(sort_diagram_traced(d)[1]) == trace_by_definition(d)
+    for _ in range(75):
+        d = common_point_diagram(rng, rng.randint(5, 40))
+        assert _events(sort_diagram_traced(d)[1]) == trace_by_definition(d), format_diagram(d)
 
 
 def test_trace_lists_blocks_in_canonical_order():
