@@ -23,7 +23,7 @@ import os
 import time
 from itertools import permutations
 from math import comb
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .core import PartitionDiagram, _permutation, _rgs_strings, enumerate_diagrams, format_diagram
 from . import sorting
@@ -123,12 +123,53 @@ def _bell(m: int) -> int:
     return row[0]
 
 
+def _packed_words(n: int) -> Iterator[tuple[int, ...]]:
+    """Every word of length n over 1..k that uses each letter, for some k; Fubini(n) of them.
+
+    Each restricted growth string, for each ordering of its classes.
+    """
+    for rgs in _rgs_strings(n):
+        for letters in permutations(range(1, len(set(rgs)) + 1)):
+            yield tuple(letters[c] for c in rgs)
+
+
+def _word_diagram(w: tuple[int, ...]) -> PartitionDiagram:
+    """The structural candidate of a packed word: top p lies in the block on the w(p)-th bottom interval."""
+    k = max(w, default=0)
+    tops, bottoms = [0] * k, [0] * k
+    for p, (j, i) in enumerate(zip(w, sorted(w))):  # the sorted word runs along the bottom intervals
+        tops[j - 1] |= 1 << p
+        bottoms[i - 1] |= 1 << p
+    return PartitionDiagram(len(w), zip(tops, bottoms))
+
+
+def _sort_packed(w: tuple[int, ...], memo: dict) -> tuple[int, ...]:
+    """The sort on words: s(w) = s(L) s(M) s(R) k...k, k the largest letter.
+
+    L holds the letters whose occurrences all come before the first k, R
+    those whose occurrences all come after the last k, and M the rest.
+    """
+    if not w:
+        return w
+    if w not in memo:
+        k = max(w)
+        first, last = w.index(k), len(w) - w[::-1].index(k)
+        left, right = set(w[:first]).difference(w[first:]), set(w[last:]).difference(w[:last])
+        memo[w] = (
+            _sort_packed(tuple([x for x in w if x in left]), memo)
+            + _sort_packed(tuple([x for x in w if x != k and x not in left and x not in right]), memo)
+            + _sort_packed(tuple([x for x in w if x in right]), memo)
+            + (k,) * w.count(k)
+        )
+    return memo[w]
+
+
 def _count_sss(n: int) -> tuple[int, int]:
     """(sortable candidates of order n, memo states), on packed words.
 
-    A candidate is the packed word w(p) = j when top node p lies in the
-    block on the j-th bottom interval.  The first split chooses C, the
-    largest letter; w sorts iff L, M and R do and L < M < R.  h(m, x, y)
+    A candidate is a packed word, as :func:`_word_diagram` encodes it,
+    and sorts as :func:`_sort_packed` does: with C the largest letter, w
+    sorts iff L, M and R do and L < M < R.  h(m, x, y)
     counts sortable words of length m with no letter wholly in the first
     x or the last y positions.  C's first position p and last q leave a
     left zone [1, max(p, x)], a right zone [min(q, m - y + 1), m] and z

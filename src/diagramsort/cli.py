@@ -116,14 +116,9 @@ def _cmd_census(args: argparse.Namespace) -> int:
         row = census_stretch_sortable(n, check=args.check, jobs=args.jobs)
         millis = round(row.elapsed * 1000)
         if args.json:
-            print(json.dumps({
-                "n": row.n,
-                "total": row.total,
-                "sortable": row.sortable,
-                "candidates": row.candidates,
-                "states": row.states,
-                "millis": millis,
-            }))
+            fields = row._asdict()
+            del fields["elapsed"]
+            print(json.dumps({**fields, "millis": millis}))
         else:
             print(f"{row.n}\t{row.total}\t{row.sortable}\t{millis}")
     return 0

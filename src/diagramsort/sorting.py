@@ -166,9 +166,6 @@ def _plant(tree: Tree) -> int:
         if hi > reach:
             reach = hi
         j += 1
-    if len(starts) == 1:
-        tree += [0, j], [key], [top], (-1,), (-1,), []
-        return 0
     keys.append(key)
     tops.append(top)
     del keys[0], tops[0]

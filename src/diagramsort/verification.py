@@ -15,12 +15,11 @@ import time
 from collections import Counter
 from itertools import combinations, permutations
 from math import comb, factorial
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, NamedTuple
 
 from .core import (
     PartitionDiagram,
     _diagram_from_rgs,
-    _rgs_strings,
     compose,
     embed_permutation,
     enumerate_diagrams,
@@ -33,6 +32,9 @@ from .stretch import SetComposition, is_stretch_of_identity, stretch_map
 from .analysis import (
     _bell,
     _count_sss,
+    _packed_words,
+    _sort_packed,
+    _word_diagram,
     census_stretch_sortable,
     contains_231,
     count_t_stack_sortable,
@@ -46,9 +48,9 @@ __all__ = ["CheckResult", "run_checks", "SORTABLE_COUNTS"]
 # Stretch-stack-sortable counts per order: regression constants computed
 # by this package, not from paper.  The exhaustive Bell(2n) scan (census
 # --check) confirmed orders 0-6, the direct sort of every candidate order
-# 7, the word map (_sort_packed) on all Fubini(8) packed words order 8, and
-# a mask-level counter, since removed, orders 8 and 9; orders 10-20 rest on
-# the recursion alone.
+# 7, the word map (analysis._sort_packed) on all Fubini(8) packed words
+# order 8, and a mask-level counter, since removed, orders 8 and 9; orders
+# 10-20 rest on the recursion alone.
 SORTABLE_COUNTS = {
     0: 1, 1: 1, 2: 3, 3: 12, 4: 56, 5: 297, 6: 1753, 7: 11360,
     8: 80084, 9: 610078, 10: 4996600, 11: 43815540, 12: 409977172,
@@ -118,20 +120,14 @@ def _check_golden_examples() -> str:
     return "7 golden evaluations"
 
 
-def _sort_word_by_definition(word: tuple[int, ...]) -> tuple[int, ...]:
-    """sort(L n R) = sort(L) sort(R) n, where n is the largest letter."""
-    if not word:
-        return ()
-    i = word.index(max(word))
-    return _sort_word_by_definition(word[:i]) + _sort_word_by_definition(word[i + 1 :]) + (word[i],)
-
-
 def _check_word_sort_oracle() -> str:
+    # On a permutation M is empty, so _sort_packed is sort(L n R) = sort(L) sort(R) n.
+    memo: dict = {}
     total = 0
     for n in range(8):
         for p in permutations(range(1, n + 1)):
             _require(
-                sort_word(p) == _sort_word_by_definition(p),
+                sort_word(p) == _sort_packed(p, memo),
                 f"sort_word disagrees with the definition on {p}",
             )
             total += 1
@@ -177,47 +173,6 @@ def _check_predicates_agree(deep: bool) -> str:
     top = 5 if deep else 4
     total = sum(census_stretch_sortable(n, check=True).total for n in range(top + 1))
     return f"{total} diagrams, n <= {top}"
-
-
-def _packed_words(n: int) -> Iterator[tuple[int, ...]]:
-    """Every word of length n over 1..k that uses each letter, for some k; Fubini(n) of them.
-
-    Each restricted growth string, for each ordering of its classes.
-    """
-    for rgs in _rgs_strings(n):
-        for letters in permutations(range(1, len(set(rgs)) + 1)):
-            yield tuple(letters[c] for c in rgs)
-
-
-def _word_diagram(w: tuple[int, ...]) -> PartitionDiagram:
-    """The structural candidate of a packed word: top p lies in the block on the w(p)-th bottom interval."""
-    k = max(w, default=0)
-    tops, bottoms = [0] * k, [0] * k
-    for p, (j, i) in enumerate(zip(w, sorted(w))):  # the sorted word runs along the bottom intervals
-        tops[j - 1] |= 1 << p
-        bottoms[i - 1] |= 1 << p
-    return PartitionDiagram(len(w), zip(tops, bottoms))
-
-
-def _sort_packed(w: tuple[int, ...], memo: dict) -> tuple[int, ...]:
-    """The sort on words: s(w) = s(L) s(M) s(R) k...k, k the largest letter.
-
-    L holds the letters whose occurrences all come before the first k, R
-    those whose occurrences all come after the last k, and M the rest.
-    """
-    if not w:
-        return w
-    if w not in memo:
-        k = max(w)
-        first, last = w.index(k), len(w) - w[::-1].index(k)
-        left, right = set(w[:first]).difference(w[first:]), set(w[last:]).difference(w[:last])
-        memo[w] = (
-            _sort_packed(tuple([x for x in w if x in left]), memo)
-            + _sort_packed(tuple([x for x in w if x != k and x not in left and x not in right]), memo)
-            + _sort_packed(tuple([x for x in w if x in right]), memo)
-            + (k,) * w.count(k)
-        )
-    return memo[w]
 
 
 def _check_census_counter(deep: bool) -> str:
@@ -295,9 +250,10 @@ def _check_embedding() -> str:
         for p in permutations(range(1, n + 1)):
             d = embed_permutation(p)
             _require(d.propagation_number() == n, "embedded permutation must fully propagate")
+            _require(_word_diagram(p) == d, f"the census's word encoding disagrees with the embedding on {p}")
             seen.add(d)
         _require(len(seen) == factorial(n), "embedding is not injective")
-    return "injective with full propagation, n <= 6"
+    return "injective with full propagation, equal to the word encoding, n <= 6"
 
 
 def _check_enumeration() -> str:

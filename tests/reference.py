@@ -5,8 +5,8 @@ structural sortability test recurse on blocks held as frozensets of
 signed nodes (+i top, -i bottom), composition walks the stacked 3n-node
 graph (the algebra product sums those walks over every term pair), and
 the stretch inflates signed-node sets and pads them with ``delta_k``.
-The recursive L n R word sort is
-``diagramsort.verification._sort_word_by_definition``.
+The recursive word sort, s(L) s(M) s(R) k...k (sort(L) sort(R) n on a
+permutation), is ``diagramsort.analysis._sort_packed``.
 """
 
 from __future__ import annotations

@@ -282,7 +282,7 @@ def test_embed_rejects_non_permutation():
 
 
 def test_embed_injective_and_propagating():
-    assert _check_embedding() == "injective with full propagation, n <= 6"
+    assert _check_embedding() == "injective with full propagation, equal to the word encoding, n <= 6"
 
 
 def test_propagation_number_examples():
