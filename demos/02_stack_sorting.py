@@ -33,8 +33,9 @@ big = parse_diagram("{1,2|3,5,7,2',4',6'|4,3'|6,7'|5',8'}", 8)
 result, trace = sort_diagram_traced(big)
 print("input  =", format_diagram(big))
 for event in trace:
-    chosen = "{" + ",".join(f"{i}'" for i in sorted(event.bottom)) + "}"
-    print("  split at B with bottom", chosen, "-", len(event.assignment), "other blocks")
+    chosen = "{" + ",".join(f"{i}'" for i in sorted(-x for x in event.block if x < 0)) + "}"
+    counts = [len(event.left), *map(len, event.middles), len(event.right)]
+    print("  split at B with bottom", chosen, "- blocks per factor L, M1..Mk, R:", counts)
 print("output =", format_diagram(result))
 
 # Identity diagrams are fixed points, like already-sorted words.

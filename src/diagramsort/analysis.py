@@ -70,13 +70,15 @@ def contains_231(word: Sequence[int]) -> bool:
 
 
 def is_t_stack_sortable(word: Sequence[int], t: int) -> bool:
-    """Whether t passes of stack-sorting turn the permutation increasing."""
+    """Whether t passes of stack-sorting turn the permutation increasing; they stop once it is (n - 1 at most)."""
     w = _permutation(word)
     if t < 0:
         raise ValueError("t must be nonnegative")
-    for _ in range(t):
+    increasing = tuple(range(1, len(w) + 1))
+    while t and w != increasing:
         w = sort_word(w)
-    return w == tuple(range(1, len(w) + 1))
+        t -= 1
+    return w == increasing
 
 
 def is_sss_direct(diagram: PartitionDiagram) -> bool:

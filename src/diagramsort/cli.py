@@ -37,14 +37,14 @@ def _format_nodes(nodes: Sequence[int]) -> str:
 
 
 def _trace_line(event: TraceEvent, texts: dict[frozenset[int], str]) -> str:
-    """One split step; ``sorting._event`` lists the blocks as L, M1..Mk, R.  ``texts`` holds block texts for one sort."""
-    columns: dict[str, list[str]] = {"L": []}
-    for block, (kind, group) in event.assignment.items():
-        text = texts.get(block) or texts.setdefault(block, _format_nodes(tuple(block)))
-        columns.setdefault(f"M{group}" if group else kind, []).append(text)
-    columns.setdefault("R", [])
-    chosen = "{" + ",".join(f"{i}'" for i in sorted(event.bottom)) + "}"
-    return " ".join([f"B={chosen}", *(f"{label}=[{','.join(blocks)}]" for label, blocks in columns.items())])
+    """One split step: B's bottoms, then the factors L, M1..Mk, R.  ``texts`` holds block texts for one sort."""
+
+    def column(label: str, blocks: tuple[frozenset[int], ...]) -> str:
+        return f"{label}=[{','.join([texts.get(b) or texts.setdefault(b, _format_nodes(tuple(b))) for b in blocks])}]"
+
+    chosen = "{" + ",".join(f"{i}'" for i in sorted(-x for x in event.block if x < 0)) + "}"
+    middles = [column(f"M{j}", blocks) for j, blocks in enumerate(event.middles, 1)]
+    return " ".join([f"B={chosen}", column("L", event.left), *middles, column("R", event.right)])
 
 
 def _parse_order_range(text: str) -> list[int]:

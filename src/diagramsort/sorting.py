@@ -23,18 +23,12 @@ from __future__ import annotations
 from bisect import bisect_right
 from itertools import accumulate
 from operator import itemgetter
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .core import (
-    PartitionDiagram,
-    _bits,
-    _pad_blocks,
-    _signed,
-)
+from .core import PartitionDiagram, _pad_blocks, _signed
 
 __all__ = [
     "sort_word",
-    "FactorTag",
     "Decomposition",
     "TraceEvent",
     "decompose",
@@ -78,17 +72,6 @@ def sort_word(word: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-class FactorTag(NamedTuple):
-    """Where a block landed in one decomposition step.
-
-    ``kind`` is "L", "M", or "R"; ``group`` is the 1-based middle group
-    index and is 0 for the side factors.
-    """
-
-    kind: str
-    group: int = 0
-
-
 class Decomposition(NamedTuple):
     """One splitting step around the chosen propagating block.
 
@@ -108,15 +91,17 @@ class Decomposition(NamedTuple):
 
 
 class TraceEvent(NamedTuple):
-    """Record of one decomposition step during a traced sort.
+    """One split step of a traced sort, shaped like :class:`Decomposition`.
 
-    ``bottom`` holds the bottom indices of the chosen block.
-    ``assignment`` maps every other non-singleton block present at the
-    step (as a frozenset of signed nodes) to its factor tag.
+    ``block`` is the chosen block's signed-node set.  ``left``, each of
+    ``middles`` and ``right`` hold the node sets of the other non-singleton
+    blocks present at the step, one tuple per factor, in canonical order.
     """
 
-    bottom: frozenset[int]
-    assignment: Mapping[frozenset[int], FactorTag]
+    block: frozenset[int]
+    left: tuple[frozenset[int], ...]
+    middles: tuple[tuple[frozenset[int], ...], ...]
+    right: tuple[frozenset[int], ...]
 
 
 def _is_singleton(block: Block) -> bool:
@@ -125,7 +110,6 @@ def _is_singleton(block: Block) -> bool:
 
 
 _least_top, _largest_top, _bottom, _block = itemgetter(0), itemgetter(1), itemgetter(2), itemgetter(3)
-_L, _R = FactorTag("L"), FactorTag("R")  # the side factors' tags, shared by every trace event
 
 
 def _titems(blocks: Iterable[Block]) -> list[Item]:
@@ -453,13 +437,9 @@ def odot_assemble(factors: Iterable[PartitionDiagram], order: int) -> PartitionD
 
 
 def _event(signed: dict, chosen: Item, factors: list[list[Block]]) -> TraceEvent:
-    """A step's event from its factors L, M1..Mk, R (see :func:`_routed`); ``signed`` holds node sets for one sort."""
-    tags = [_L, *(FactorTag("M", j) for j in range(1, len(factors) - 1)), _R]
-    assignment = {}
-    for tag, blocks in zip(tags, factors):
-        for blk in blocks:
-            assignment[signed.get(blk) or signed.setdefault(blk, _signed(blk))] = tag
-    return TraceEvent(bottom=frozenset(_bits(chosen[2])), assignment=assignment)
+    """A step's event from its factors L, M1..Mk, R (see :func:`_routed`); ``signed`` maps each block to its node set."""
+    left, *middles, right = [tuple(map(signed.__getitem__, blocks)) for blocks in factors]
+    return TraceEvent(signed[chosen[3]], left, tuple(middles), right)
 
 
 def sort_diagram(diagram: PartitionDiagram) -> PartitionDiagram:
@@ -480,7 +460,7 @@ def sort_diagram_traced(diagram: PartitionDiagram) -> tuple[PartitionDiagram, tu
     if diagram.propagation_number() == 0:
         return diagram, ()
     events: list[TraceEvent] = []
-    signed: dict[Block, frozenset[int]] = {}
+    signed = {blk: _signed(blk) for blk in diagram.blocks if not _is_singleton(blk)}
     pending = [_bottom_only(diagram.blocks)]
     walked = _walk(_titems(diagram.blocks), lambda *split: events.append(_event(signed, split[0], _routed(pending, *split))))
     return _assemble(diagram.order, walked + [blk for blk in diagram.blocks if not blk[0]]), tuple(events)

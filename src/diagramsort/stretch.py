@@ -115,6 +115,8 @@ def stretch_map(alpha: "SetComposition | Iterable[Iterable[int]]", k: int, diagr
     comp = alpha if isinstance(alpha, SetComposition) else SetComposition(alpha)
     if len(comp) != diagram.order:
         raise ValueError("set composition length must equal the diagram order")
+    if max(map(max, comp), default=0) > k:  # before any mask: a huge index would allocate a huge int
+        raise ValueError("k must be at least the largest index used")
     masks = [_mask(part) for part in comp]
     blocks = []
     support = 0
@@ -126,8 +128,6 @@ def stretch_map(alpha: "SetComposition | Iterable[Iterable[int]]", k: int, diagr
             bottom |= masks[i - 1]
         blocks.append((top, bottom))
         support |= top
-    if support.bit_length() > k:
-        raise ValueError("k must be at least the largest index used")
     free = ((1 << k) - 1) & ~support
     while free:
         low = free & -free

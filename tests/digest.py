@@ -1,9 +1,10 @@
 """Output gate for the sort kernel: one SHA-256 per output kind over fixed inputs.
 
-Usage: python3 tests/digest.py <src-dir>
+Usage: python3 tests/digest.py <src-dir> [<other-src-dir>]
 
-Imports ``diagramsort`` from <src-dir> (the generators come from
-``reference.py`` beside this file) and prints one line per output kind:
+With one source tree, imports ``diagramsort`` from <src-dir> (the
+generators come from ``reference.py`` beside this file) and prints one
+line per output kind:
 
 - ``sort``: ``sort_diagram`` images;
 - ``trace``: what ``sort --trace`` prints, the step lines then the image;
@@ -16,14 +17,17 @@ The inputs are every diagram of order <= 5 (order <= 4 for
 inputs, ``chain_diagram`` with every base/plant pair at n = 30 and 240,
 and 75 ``common_point_diagram`` inputs; ``structural`` also reads 300
 seeded structural candidates, whose walks get past the shape test.
-Run it on two checkouts and compare the lines: a change that keeps every
-output prints the same digests.  Uses only the standard library.
+With two trees, runs each in its own subprocess and prints one line per
+kind, ``same`` or ``differs`` with both digests, and exits 1 on any
+difference: a change that keeps every output prints ``same`` four times.
+Uses only the standard library.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
+import subprocess
 import sys
 from pathlib import Path
 
@@ -47,7 +51,24 @@ def _candidates(reference):
             yield reference.structural_candidate(rng, rng.randint(4, 40), mode)
 
 
+def _compare(trees: list[str]) -> int:
+    """Digest each tree in a subprocess of its own; 1 if any kind differs or a run fails."""
+    runs = [subprocess.Popen([sys.executable, __file__, tree], stdout=subprocess.PIPE, text=True) for tree in trees]
+    outputs = [run.communicate()[0].splitlines() for run in runs]
+    if any(run.returncode for run in runs):
+        return 1
+    differs = 0
+    for first, second in zip(*outputs):
+        kind, digest, _ = first.split(" ", 2)
+        other = second.split(" ", 2)[1]
+        differs += first != second
+        print(f"{kind} {'same' if first == second else 'differs'} {digest} {other}")
+    return 1 if differs else 0
+
+
 def main(argv: list[str]) -> int:
+    if len(argv) == 2:
+        return _compare(argv)
     if len(argv) != 1:
         print(__doc__.splitlines()[2], file=sys.stderr)
         return 1

@@ -106,6 +106,22 @@ def test_t_sortable_rejects_bad_input():
             count_t_stack_sortable(n, -1)
 
 
+def test_t_sortable_stops_once_increasing(monkeypatch):
+    # Every permutation of length n is (n - 1)-stack-sortable, so a huge t
+    # runs at most n - 1 passes per permutation.
+    calls = []
+    real_sort_word = analysis_module.sort_word
+
+    def counting_sort_word(word):
+        calls.append(word)
+        if len(calls) > 2 * factorial(3):
+            raise AssertionError("more than (n - 1) * n! passes")
+        return real_sort_word(word)
+
+    monkeypatch.setattr(analysis_module, "sort_word", counting_sort_word)
+    assert count_t_stack_sortable(3, 10**9) == 6
+
+
 def test_knuth_equivalence():
     assert _check_knuth_catalan() == "one-pass sortable == 231-avoiding == Catalan, n <= 7"
 

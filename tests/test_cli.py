@@ -69,6 +69,13 @@ def test_sort_trace_lines(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "B={3'} L=[{1,2'}] R=[{3,1'}]"
     assert lines[-1] == "{1,2'|2,1'|3,3'}"
+    # M1 is a bottom-only group, M2 the propagating group, M3 a top-only group.
+    assert run(["sort", "--trace", "--order", "5", "{1,4,1',5'|2,4'|3,5|2',3'}"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "B={1',5'} L=[] M1=[{2',3'}] M2=[{2,4'}] M3=[{3,5}] R=[]",
+        "B={4'} L=[] R=[]",
+        "{1,4'|2,3,1',5'|4,5|2',3'}",
+    ]
 
 
 def test_sort_trace_formats_each_block_once(capsys, monkeypatch):
@@ -326,6 +333,9 @@ def test_domain_error_exits_one(capsys):
     assert capsys.readouterr().err.startswith("error: bad part 'True'")  # the text never yields a bool
     assert run(["parse", "--order", "-1", "{1}"]) == 1
     assert capsys.readouterr().err == "error: order must be nonnegative\n"
+    # k is checked before any part's mask is built; for 10**18 that mask would be a 10**18-bit integer.
+    assert run(["stretch", "--alpha", "1000000000000000000", "--k", "1", "--order", "1", "{}"]) == 1
+    assert capsys.readouterr().err == "error: k must be at least the largest index used\n"
 
 
 def test_usage_error_exits_one(capsys):

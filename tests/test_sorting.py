@@ -31,7 +31,6 @@ from diagramsort.core import (
     parse_diagram,
 )
 from diagramsort.sorting import (
-    FactorTag,
     decompose,
     odot_assemble,
     sort_diagram,
@@ -53,6 +52,17 @@ EX18_OUT = "{1,2,3,4',5',6'|4,5,6,1',2',3'|7,8,9,7',8',9'}"
 
 def _non_singleton_sets(d):
     return {block for block in d.block_sets() if len(block) > 1}
+
+
+def _non_singletons(d):
+    """The non-singleton node sets in canonical order, as a trace event lists a factor."""
+    return tuple(block for block in d.block_sets() if len(block) > 1)
+
+
+def _tagged(block, left, middles, right):
+    """A split in ``trace_by_definition``'s form: C's bottoms, and each other block's factor."""
+    factors = [("L", 0, left), *(("M", j, m) for j, m in enumerate(middles, 1)), ("R", 0, right)]
+    return frozenset(-x for x in block if x < 0), {blk: (kind, group) for kind, group, f in factors for blk in f}
 
 
 # --- sort_word -------------------------------------------------------------
@@ -129,14 +139,14 @@ def test_decompose_partitions_the_non_singleton_blocks(d):
 def test_decompose_matches_reference():
     # The first split step of the slow reference: the chosen block's bottoms
     # and every other non-singleton block's factor, middle groups in order.
+    # The traced sort's first event holds the same parts.
     def check(d):
         if d.propagation_number() == 0:
             return
         dec = decompose(d)
-        factors = [("L", 0, dec.left), *(("M", j, m) for j, m in enumerate(dec.middles, 1)), ("R", 0, dec.right)]
-        assignment = {blk: (kind, group) for kind, group, f in factors for blk in _non_singleton_sets(f)}
-        bottom = frozenset(-x for x in dec.block if x < 0)
-        assert (bottom, assignment) == trace_by_definition(d)[0], format_diagram(d)
+        parts = (dec.block, _non_singletons(dec.left), tuple(map(_non_singletons, dec.middles)), _non_singletons(dec.right))
+        assert _tagged(*parts) == trace_by_definition(d)[0], format_diagram(d)
+        assert sort_diagram_traced(d)[1][0] == parts, format_diagram(d)
         assert dec.padded_block == canonicalize([dec.block], d.order)
 
     for n in range(5):
@@ -449,7 +459,7 @@ def test_traced_result_matches_plain_sort():
 
 
 def _events(trace):
-    return [(e.bottom, {blk: (tag.kind, tag.group) for blk, tag in e.assignment.items()}) for e in trace]
+    return [_tagged(*event) for event in trace]
 
 
 def test_trace_matches_reference():
@@ -471,17 +481,15 @@ def test_trace_matches_reference():
 
 
 def test_trace_lists_blocks_in_canonical_order():
-    # ``sort --trace`` prints the assignment in its order: factors L, M1..Mk, R,
-    # each factor's blocks in canonical order (by least node, tops before
-    # bottoms).  test_trace_matches_reference compares dicts, so it cannot see this.
+    # ``sort --trace`` prints each factor's blocks in their event order, which
+    # is canonical (by least node, tops before bottoms).
+    # test_trace_matches_reference compares dicts, so it cannot see this.
     def check(d):
         n = d.order
         for event in sort_diagram_traced(d)[1]:
-            keys = [
-                ("LMR".index(tag.kind), tag.group, min(x if x > 0 else n - x for x in blk))
-                for blk, tag in event.assignment.items()
-            ]
-            assert keys == sorted(keys), format_diagram(d)
+            for factor in (event.left, *event.middles, event.right):
+                keys = [min(x if x > 0 else n - x for x in blk) for blk in factor]
+                assert keys == sorted(keys), format_diagram(d)
 
     for n in range(5):
         for d in enumerate_diagrams(n):
@@ -502,7 +510,7 @@ def test_trace_builds_each_block_once(monkeypatch):
     monkeypatch.setattr(sorting_module, "_signed", lambda blk: calls.append(blk) or real_signed(blk))
     d = embed_permutation(range(1, 301))
     _, trace = sort_diagram_traced(d)
-    assert sum(len(event.assignment) for event in trace) == 299 * 300 // 2
+    assert sum(len(event.left) + sum(map(len, event.middles)) + len(event.right) for event in trace) == 299 * 300 // 2
     assert len(calls) == len(set(calls)) <= len(_non_singleton_sets(d))
 
 
@@ -510,28 +518,21 @@ def test_trace_of_identity_two():
     # Two split steps; the first still classifies {1,1'} as a left block,
     # the second has nothing left to classify.
     _, trace = sort_diagram_traced(identity_diagram(2))
-    assert len(trace) == 2
-    assert trace[0].bottom == frozenset({2})
-    assert trace[0].assignment == {frozenset({1, -1}): FactorTag("L")}
-    assert trace[1].bottom == frozenset({1})
-    assert trace[1].assignment == {}
+    assert trace == ((frozenset({2, -2}), (frozenset({1, -1}),), (), ()), (frozenset({1, -1}), (), (), ()))
 
 
 def test_trace_first_event_eight_node_example():
     _, trace = sort_diagram_traced(parse_diagram(EX5_IN, 8))
     first = trace[0]
-    assert first.bottom == frozenset({7})
-    assert first.assignment == {
-        frozenset({1, 2}): FactorTag("L"),
-        frozenset({4, -3}): FactorTag("L"),
-        frozenset({3, 5, 7, -2, -4, -6}): FactorTag("M", 1),
-        frozenset({-5, -8}): FactorTag("M", 1),
-    }
+    assert first.block == frozenset({6, -7})
+    assert first.left == (frozenset({1, 2}), frozenset({4, -3}))
+    assert first.middles == ((frozenset({3, 5, 7, -2, -4, -6}), frozenset({-5, -8})),)
+    assert first.right == ()
 
 
 def test_trace_first_event_nine_node_example():
     _, trace = sort_diagram_traced(parse_diagram(EX18_IN, 9))
     first = trace[0]
-    assert first.bottom == frozenset({7, 8, 9})
-    assert first.assignment[frozenset({1, 2, 3, -4, -5, -6})] == FactorTag("L")
-    assert first.assignment[frozenset({4, 6, 7, -1, -2, -3})] == FactorTag("M", 1)
+    assert first.block == frozenset({5, 8, 9, -7, -8, -9})
+    assert first.left == (frozenset({1, 2, 3, -4, -5, -6}),)
+    assert first.middles == ((frozenset({4, 6, 7, -1, -2, -3}),),)

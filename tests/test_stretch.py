@@ -117,6 +117,7 @@ def test_stretch_matches_node_oracle():
     [
         ([{1}], 1, 2, "set composition length must equal the diagram order"),
         ([{5}, {1}], 4, 2, "k must be at least the largest index used"),
+        ([{10**18}], 1, 1, "k must be at least the largest index used"),
     ],
 )
 def test_stretch_errors_match_node_oracle(alpha, k, order, message):
