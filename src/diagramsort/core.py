@@ -423,19 +423,32 @@ def _read_block(part: str, order: int) -> tuple[int, int]:
 
     This is the path for the spellings the name table lacks (``-i``,
     leading zeros, indices past its capacity) and for every faulty block.
-    A malformed token is named before :func:`_block_masks` checks the nodes.
+    Each node's bit is ORed in as its token is read.  A malformed token is
+    named at once; a bad or repeated node only marks the block, whose fault
+    :func:`_block_masks` names once every token reads well.
     """
     if not part:
         raise ValueError("empty block in diagram text")
-    nodes = []
-    for token in part.split(","):
+    tokens = part.split(",")
+    t = b = 0
+    bad = False
+    for token in tokens:
         digits = token.removesuffix("'")
         if digits == token:
             digits = token.removeprefix("-")
         if not (digits.isascii() and digits.isdigit()):
             raise ValueError(f"bad node token {token!r}")
-        nodes.append(int(digits) if digits == token else -int(digits))
-    return _block_masks(nodes, order)
+        i = int(digits)
+        if not 0 < i <= order:
+            bad = True
+        elif digits == token:
+            if t == (t := t | 1 << (i - 1)):  # the bit was set already
+                bad = True
+        elif b == (b := b | 1 << (i - 1)):
+            bad = True
+    if bad:
+        return _block_masks([-int(token[:-1]) if token[-1] == "'" else int(token) for token in tokens], order)
+    return t, b
 
 
 def format_diagram(diagram: PartitionDiagram) -> str:

@@ -13,9 +13,11 @@ over the blocks with top nodes in least-top order.  Each piece is swept
 into top-overlap clusters with a Cartesian tree over them, keyed by
 bottom masks: on a permutation, the tree :func:`sort_word`'s stack
 builds.  A split at a one-block cluster is a tree node; only a cluster of
-several blocks is scanned.  When the walk records no steps, a piece
-whose top intervals all share a point is emitted by one sort by bottom
-mask instead.  One :class:`PartitionDiagram` is built per sort.
+several blocks is scanned.  When the walk records no steps, a piece whose
+clusters each hold one block is emitted in its tree's post-order, the
+word sort's stack order, and a piece whose top intervals all share a
+point by one sort by bottom mask.  One :class:`PartitionDiagram` is built
+per sort, in one pass over the walk's blocks and the blocks without tops.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from itertools import accumulate
 from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .core import PartitionDiagram, _pad_blocks, _signed
+from .core import PartitionDiagram, _bits, _pad_blocks, _signed
 
 __all__ = [
     "sort_word",
@@ -212,15 +214,19 @@ def _walk(items: list[Item], step: Callable[..., bool] | None = None) -> list[Bl
     cluster of several items is scanned; what it sends left or right is
     swept again with the subtree beside it.
 
-    A walk that records no steps emits a fresh piece at once when its
-    top intervals all share a point (Helly's theorem in 1D: intervals
-    that pairwise overlap do).  Then C, the item
-    with the largest bottom mask, overlaps every other item, so L and R
-    are empty.  The rest is one middle group, since propagating blocks
-    always share a group and top-only blocks reach the common point, and
-    that group shares the point too.  So the piece comes out as its
-    top-only blocks in least-top order, then its propagating blocks by
-    ascending bottom mask: one stable sort by bottom mask.
+    A walk that records no steps emits a fresh piece at once in two cases.
+    When each cluster holds one item, nothing is ever in the middle, so the
+    piece comes out in its tree's post-order: stack-sorting's image of the
+    keys (Knuth, TAOCP 2.2.1).  A zero-key subtree has no right child, as
+    ties go to the later cluster, so its post-order is its leaf's sequence
+    order.  When the top intervals all share a point (Helly's theorem in
+    1D: intervals that pairwise overlap do), C, the item with the largest
+    bottom mask, overlaps every other item, so L and R are empty.  The rest
+    is one middle group, since propagating blocks always share a group and
+    top-only blocks reach the common point, and that group shares the point
+    too.  So the piece comes out as its top-only blocks in least-top order,
+    then its propagating blocks by ascending bottom mask: one stable sort by
+    bottom mask.
 
     ``step(chosen, left, groups, right)`` is called on each split in
     pre-order, C an item and the factors pieces or None; if it returns
@@ -238,6 +244,17 @@ def _walk(items: list[Item], step: Callable[..., bool] | None = None) -> list[Bl
         titems = tree[0]
         if i < 0:
             i = _plant(tree)
+            if step is None and len(tree[2]) == len(titems):  # one item a cluster: see above
+                lefts, rights, seq, stack = tree[4], tree[5], [], [i]
+                while stack:  # root, right, left: the post-order reversed
+                    c = stack.pop()
+                    seq.append(c)
+                    if lefts[c] >= 0:
+                        stack.append(lefts[c])
+                    if rights[c] >= 0:
+                        stack.append(rights[c])
+                out += [titems[c][3] for c in reversed(seq)]
+                continue
             if step is None and len(tree[2]) == 1 and titems[-1][0] <= min(map(_largest_top, titems)):
                 out += map(_block, sorted(titems, key=_bottom))  # tops share a point: see above
                 continue
@@ -286,9 +303,9 @@ def _broken(chosen: Item, left: Piece | None, groups: list[Piece], right: Piece 
     A factor's blocks have disjoint bottom masks, so their union is their
     sum, and a subtree's is a difference of its tree's prefix sums.
     """
-    factors = [piece for piece in (left, *groups, right) if piece]
-    if len(factors) < 2:
+    if len(groups) + (left is not None) + (right is not None) < 2:
         return False
+    factors = [piece for piece in (left, *groups, right) if piece]
     reach = 0
     for tree, root, lo, hi in factors:
         if root < 0:  # unplanted: tree[0] is the piece's items
@@ -376,21 +393,26 @@ def _routed(pending: list[list[Block]], chosen: Item, left: Piece | None, groups
 def _assemble(order: int, blocks: list[Block]) -> PartitionDiagram:
     """Fresh consecutive top labels in list order, propagating blocks first; bottoms stay.
 
-    Top-only blocks continue the count past the propagating blocks.  Overlapping
-    bottoms and labels past the order are left to the constructor to reject.
+    Top-only blocks continue the count past the propagating blocks, and the
+    top labels left over become singletons.  The caller passes every bottom
+    node in some block.  Overlapping bottoms and labels past the order are
+    left to the constructor to reject.
     """
-    out: list[Block] = []
-    # 0-based bit positions of the next fresh labels; top-only ones start past the propagating.
-    prop, top = 0, sum(t.bit_count() for t, b in blocks if b)
+    out, widths, label = [], [], 0  # label: the 0-based bit position of the next fresh top label
     for t, b in blocks:
-        if t:
+        if not t:
+            out.append((t, b))
+        elif b:
             width = t.bit_count()
-            if b:
-                t, prop = ((1 << width) - 1) << prop, prop + width
-            else:
-                t, top = ((1 << width) - 1) << top, top + width
-        out.append((t, b))
-    return PartitionDiagram(order, _pad_blocks(out, order))
+            out.append((((1 << width) - 1) << label, b))
+            label += width
+        else:
+            widths.append(t.bit_count())
+    for width in widths:
+        out.append((((1 << width) - 1) << label, 0))
+        label += width
+    out += [(1 << i, 0) for i in range(label, order)]
+    return PartitionDiagram(order, out)
 
 
 def decompose(diagram: PartitionDiagram) -> Decomposition:
@@ -422,8 +444,8 @@ def odot_assemble(factors: Iterable[PartitionDiagram], order: int) -> PartitionD
     by the sort's rule (:func:`_assemble`): propagating blocks take
     consecutive top labels from 1, then top-only blocks continue the
     count.  Bottom nodes keep their labels, so the factors' non-singleton
-    bottom sets must be pairwise disjoint.  Unused top labels become
-    singletons.
+    bottom sets must be pairwise disjoint.  Unused top labels and the
+    bottom nodes no factor's non-singleton block holds become singletons.
     """
     fs = list(factors)
     for f in fs:
@@ -433,7 +455,12 @@ def odot_assemble(factors: Iterable[PartitionDiagram], order: int) -> PartitionD
         if p > 1 or (p == 1 and any(not _is_singleton(b) for b in f.blocks if not (b[0] and b[1]))):
             raise ValueError("factor must be non-propagating or one propagating block plus singletons")
     # canonical block order already lists top-row blocks by least top node
-    return _assemble(order, [blk for f in fs for blk in f.blocks if not _is_singleton(blk)])
+    blocks = [blk for f in fs for blk in f.blocks if not _is_singleton(blk)]
+    covered = 0
+    for _, b in blocks:
+        covered |= b
+    uncovered = ((1 << order) - 1) & ~covered if order >= 0 else 0  # a negative order is the constructor's to name
+    return _assemble(order, blocks + [(0, 1 << (i - 1)) for i in _bits(uncovered)])
 
 
 def _event(signed: dict, chosen: Item, factors: list[list[Block]]) -> TraceEvent:
@@ -449,10 +476,11 @@ def sort_diagram(diagram: PartitionDiagram) -> PartitionDiagram:
     diagrams of permutations this agrees with :func:`sort_word` through
     the permutation embedding.
     """
-    if diagram.propagation_number() == 0:
-        return diagram
     blocks = diagram.blocks
-    return _assemble(diagram.order, _walk(_titems(blocks)) + [blk for blk in blocks if not blk[0]])
+    items = _titems(blocks)
+    if not any(map(_bottom, items)):
+        return diagram
+    return _assemble(diagram.order, _walk(items) + [blk for blk in blocks if not blk[0]])
 
 
 def sort_diagram_traced(diagram: PartitionDiagram) -> tuple[PartitionDiagram, tuple[TraceEvent, ...]]:

@@ -305,11 +305,17 @@ def _check_stretch_characterization() -> str:
 
 
 def _check_monotone() -> str:
+    # t passes of sort_word, none skipped, against is_t_stack_sortable, which stops once the word is increasing.
     for n in range(1, 7):
-        for p in permutations(range(1, n + 1)):
-            for t in range(3):
-                if is_t_stack_sortable(p, t):
-                    _require(is_t_stack_sortable(p, t + 1), f"sortability not monotone on {p}")
+        increasing = tuple(range(1, n + 1))
+        _require(sort_word(increasing) == increasing, f"sort_word moves the increasing word {increasing}")
+        for p in permutations(increasing):
+            w, sortable = p, []
+            for t in range(4):
+                sortable.append(w == increasing)
+                _require(is_t_stack_sortable(p, t) == sortable[-1], f"is_t_stack_sortable({p}, {t}) disagrees with {t} passes")
+                w = sort_word(w)
+            _require(sortable == sorted(sortable), f"sortability not monotone on {p}")
     return "t-sortable implies (t+1)-sortable, n <= 6"
 
 

@@ -15,8 +15,13 @@ line per output kind:
 The inputs are every diagram of order <= 5 (order <= 4 for
 ``decompose``), then for every kind 1,500 seeded ``sparse_diagram``
 inputs, ``chain_diagram`` with every base/plant pair at n = 30 and 240,
-and 75 ``common_point_diagram`` inputs; ``structural`` also reads 300
-seeded structural candidates, whose walks get past the shape test.
+75 ``common_point_diagram`` inputs, seeded permutations of 64, 256 and
+1000 embedded with ``embed_permutation``, 15 ``sparse_diagram`` inputs
+shaped like the benchmark's large random diagrams (n = 32..256, about
+2*sqrt(n) blocks) and 60 ``one_item_cluster_diagram`` inputs, whose
+top-overlap clusters each hold one block, top-only blocks among them;
+``structural`` also reads 300 seeded structural candidates, whose walks
+get past the shape test.
 With two trees, runs each in its own subprocess and prints one line per
 kind, ``same`` or ``differs`` with both digests, and exits 1 on any
 difference: a change that keeps every output prints ``same`` four times.
@@ -33,6 +38,8 @@ from pathlib import Path
 
 
 def _seeded(reference):
+    from diagramsort.core import embed_permutation
+
     rng = random.Random(2024)
     for _ in range(1500):
         yield reference.sparse_diagram(rng, rng.randint(5, 24), rng.randint(2, 12))
@@ -42,6 +49,13 @@ def _seeded(reference):
                 yield reference.chain_diagram(rng, n, base, plant)
     for _ in range(75):
         yield reference.common_point_diagram(rng, rng.randint(5, 64))
+    rng = random.Random(2026)
+    for n in (64, 256, 1000):
+        yield embed_permutation(rng.sample(range(1, n + 1), n))
+    for n in range(32, 257, 16):
+        yield reference.sparse_diagram(rng, n, round(2 * n**0.5))
+    for _ in range(60):
+        yield reference.one_item_cluster_diagram(rng, rng.randint(2, 120))
 
 
 def _candidates(reference):

@@ -454,3 +454,33 @@ def common_point_diagram(rng: random.Random, n: int) -> PartitionDiagram:
         else:
             blocks.append(run)
     return canonicalize(blocks, n)
+
+
+def one_item_cluster_diagram(rng: random.Random, n: int) -> PartitionDiagram:
+    """A diagram whose blocks with top nodes, singletons aside, have disjoint top intervals.
+
+    Top nodes are cut into runs of one to four.  Each run's first and last
+    nodes, and maybe some between, are one block's tops; the rest stay
+    singletons.  About a third of these blocks get no bottom node (on one
+    top node, a singleton).  Bottom nodes are dealt out in sets of one to
+    three to the other blocks or to bottom-only blocks.  So every
+    top-overlap cluster holds one block, and top-only, propagating and
+    bottom-only blocks mix.
+    """
+    blocks, open_blocks, i = [], [], 1
+    while i <= n:
+        k = min(rng.randint(1, 4), n + 1 - i)
+        blocks.append({i, i + k - 1} | {x for x in range(i + 1, i + k - 1) if rng.random() < 0.5})
+        if rng.random() < 0.7:
+            open_blocks.append(blocks[-1])
+        i += k
+    bottoms = list(range(1, n + 1))
+    rng.shuffle(bottoms)
+    while bottoms:
+        run = {-bottoms.pop() for _ in range(min(len(bottoms), rng.randint(1, 3)))}
+        j = rng.randrange(len(open_blocks) + 2)
+        if j < len(open_blocks):
+            open_blocks[j] |= run
+        else:
+            blocks.append(run)
+    return canonicalize(blocks, n)

@@ -130,6 +130,17 @@ def test_monotone_in_t():
     assert _check_monotone() == "t-sortable implies (t+1)-sortable, n <= 6"
 
 
+@pytest.mark.parametrize("wrong", [lambda w: tuple(reversed(w)), lambda w: (*w[1:], *w[:1])], ids=["reversal", "rotation"])
+@pytest.mark.parametrize("everywhere", [False, True], ids=["analysis", "both"])
+def test_monotone_check_fails_on_a_wrong_sort_word(monkeypatch, wrong, everywhere):
+    # The check must catch a wrong pass in is_t_stack_sortable, and one that the check itself applies.
+    monkeypatch.setattr(analysis_module, "sort_word", wrong)
+    if everywhere:
+        monkeypatch.setattr(verification_module, "sort_word", wrong)
+    with pytest.raises(AssertionError):
+        _check_monotone()
+
+
 # --- counts ----------------------------------------------------------------
 
 

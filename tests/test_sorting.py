@@ -14,6 +14,7 @@ from conftest import diagrams, random_diagram
 from reference import (
     chain_diagram,
     common_point_diagram,
+    one_item_cluster_diagram,
     sort_diagram_by_definition,
     sparse_diagram,
     stretched_chain,
@@ -212,6 +213,33 @@ def test_assemble_rejects_top_overflow():
     f2 = canonicalize([{1, 2, -2}], 2)
     with pytest.raises(ValueError, match="out of range"):
         odot_assemble([f1, f2], 2)
+
+
+def test_assemble_pads_the_bottoms_no_factor_holds():
+    # Bottoms 2', 3' sit in a bottom-only factor; 5' is in no factor's non-singleton block.
+    n = 6
+    factors = [canonicalize(blocks, n) for blocks in ([{2, 3, -4}], [{1, 6}], [{-2, -3}], [{5, -1, -6}])]
+    assert format_diagram(odot_assemble(factors, n)) == "{1,2,4'|3,1',6'|4,5|6|2',3'|5'}"
+    assert odot_assemble([], 3) == canonicalize([], 3)
+    assert odot_assemble([canonicalize([{1, 2}], 3)], 3) == canonicalize([{1, 2}], 3)
+    # Seeded one-block factors leaving bottoms uncovered, against relabeling signed-node sets.
+    rng = random.Random(27)
+    for _ in range(300):
+        n = rng.randint(2, 12)
+        free = rng.sample(range(1, n + 1), n)
+        blocks = []
+        while free and rng.random() < 0.8:
+            bottoms = {-free.pop() for _ in range(rng.randint(0, min(2, len(free))))}
+            block = bottoms | set(rng.sample(range(1, n + 1), rng.randint(0 if bottoms else 2, 2)))
+            if len(block) > 1:
+                blocks.append(block)
+        label, expected = 1, []
+        for block in sorted(blocks, key=lambda blk: not (min(blk) < 0 < max(blk))):  # propagating first, stable
+            width = sum(x > 0 for x in block)
+            expected.append({x for x in block if x < 0} | set(range(label, label + width)))
+            label += width
+        if label <= n + 1:
+            assert odot_assemble([canonicalize([blk], n) for blk in blocks], n) == canonicalize(expected, n)
 
 
 def test_assemble_rejects_order_mismatch():
@@ -416,6 +444,30 @@ def test_common_point_pieces_sort_without_a_scan(monkeypatch):
         assert image == sort_diagram_by_definition(d) == sort_diagram_traced(d)[0], format_diagram(d)
     d = common_point_diagram(rng, 1000)
     assert sort_diagram(d) == sort_diagram_traced(d)[0]
+
+
+def test_one_item_clusters_sort_in_post_order(monkeypatch):
+    # Every top-overlap cluster holds one block: the walk emits its tree's post-order
+    # from one planting, with no cluster scan, as the word sort's stack does.
+    planted = []
+    real_plant = sorting_module._plant
+    monkeypatch.setattr(sorting_module, "_plant", lambda tree: planted.append(len(tree[0])) or real_plant(tree))
+    scans = _count_scans(monkeypatch)
+    word = random.Random(26).sample(range(1, 1001), 1000)
+    assert sort_diagram(embed_permutation(word)) == embed_permutation(sort_word(word))
+    assert planted == [1000] and scans == []
+    # Top-only blocks take the first labels past the propagating ones, in sequence order.
+    d = parse_diagram("{1,3,2'|2|4,5|6,1',4'|7,8,9|10,3'}", 10)
+    image = parse_diagram("{1,2,2'|3,3'|4,1',4'|5,6|7,8,9|10|5'|6'|7'|8'|9'|10'}", 10)
+    assert sort_diagram(d) == image == sort_diagram_by_definition(d)
+    rng = random.Random(28)
+    for n in (*range(1, 40), 120, 400):
+        d = one_item_cluster_diagram(rng, n)
+        planted.clear()
+        image = sort_diagram(d)
+        assert len(planted) <= 1
+        assert image == sort_diagram_by_definition(d) == sort_diagram_traced(d)[0], format_diagram(d)
+    assert scans == []
 
 
 @pytest.mark.skipif(os.environ.get("DIAGRAMSORT_DEEP") != "1", reason="set DIAGRAMSORT_DEEP=1 for chains of 1000 and 2000")
