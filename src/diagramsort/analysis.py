@@ -166,8 +166,8 @@ def _sort_packed(w: tuple[int, ...], memo: dict) -> tuple[int, ...]:
     return memo[w]
 
 
-def _count_sss(n: int) -> tuple[int, int]:
-    """(sortable candidates of order n, memo states), on packed words.
+def _sss_recursion(n: int) -> tuple[Callable[[int, int, int], int], dict]:
+    """h(m, x, y) for m <= n and its memo of states, on packed words.
 
     A candidate is a packed word, as :func:`_word_diagram` encodes it,
     and sorts as :func:`_sort_packed` does: with C the largest letter, w
@@ -178,15 +178,20 @@ def _count_sss(n: int) -> tuple[int, int]:
     positions between, each C or M; L lies before p, R after q, and M's
     rule counts its positions in each zone.  h(m, x, y) = h(m, y, x), and
     x + y <= m in every state reached from h(n, 0, 0).  A state sums, over
-    the zones and b, the right zone's fillings with b M positions times
-    left(x, lz, z, b) = sum over a of zone(x, lz)[a] * middle(z, a, b),
-    memoized for the call where b has fillings: it reads neither m nor y,
-    as a zone depends only on x and lz and the middle on z, a and b.
+    the right zone's size rz and its fillings with b M positions, those
+    fillings times the prefix P(x, m - rz, b), the sum over lz and a of
+    zone(x, lz)[a] * middle(m - rz - lz, a, b), or, where the zones share
+    one position (lz + rz = m + 1), times left(x, lz, b), the sum over a of
+    zone(x, lz)[a] * middle(0, a, b).  Neither reads m or y, as a zone
+    depends only on x and lz and the middle on z, a and b, so both are
+    memoized; both are summed only for a b that has fillings.  Every
+    h(k, 0, 0) with k <= n reads the one memo.
     """
     binom = [[comb(k, i) for i in range(k + 1)] for k in range(n + 1)]
     memo = {(0, 0, 0): 1}
     zones: dict = {}
     middles: dict = {}
+    prefixes: dict = {}
     lefts: dict = {}
 
     def h(m: int, x: int, y: int) -> int:
@@ -195,48 +200,68 @@ def _count_sss(n: int) -> tuple[int, int]:
         if (total := memo.get((m, x, y))) is not None:
             return total
         total = 0
-        for lz in range(max(x, 1), m + 1):
-            for rz in range(max(y, 1), m + 2 - lz):
-                if (z := m - lz - rz) < 0:  # the zones share one position
-                    if lz == x or rz == y:
-                        continue  # p = q: one C position, in neither rule
-                    z = 0
-                for b, wb in enumerate(zone(y, rz)):
-                    if wb:
-                        total += wb * left(x, lz, z, b)
+        for rz in range(y or 1, m + 1 - (x or 1)):  # zones apart: lz + rz <= m
+            u = m - rz
+            for b, wb in enumerate(zones.get((y, rz)) or zone(y, rz)):
+                if wb:
+                    if (p := prefixes.get((x, u, b))) is None:
+                        p = prefix(x, u, b)
+                    total += wb * p
+        for rz in range(y + 1, m + 1 - x):  # zones share lz = m + 1 - rz, lz > x and rz > y: p < q
+            lz = m + 1 - rz
+            for b, wb in enumerate(zones.get((y, rz)) or zone(y, rz)):
+                if wb:
+                    if (p := lefts.get((x, lz, b))) is None:
+                        p = left(x, lz, b)
+                    total += wb * p
         memo[m, x, y] = total
         return total
 
-    def left(x: int, lz: int, z: int, b: int) -> int:
-        if (total := lefts.get((x, lz, z, b))) is None:
-            total = 0
-            for a, wa in enumerate(zone(x, lz)):
+    def prefix(x: int, u: int, b: int) -> int:
+        total = 0
+        for lz in range(x or 1, u + 1):
+            z = u - lz
+            for a, wa in enumerate(zones.get((x, lz)) or zone(x, lz)):
                 if wa:
-                    total += wa * middle(z, a, b)
-            lefts[x, lz, z, b] = total
+                    if (c := middles.get((z, a, b))) is None:
+                        c = middle(z, a, b)
+                    total += wa * c
+        prefixes[x, u, b] = total
+        return total
+
+    def left(x: int, lz: int, b: int) -> int:
+        total = 0
+        for a, wa in enumerate(zones.get((x, lz)) or zone(x, lz)):
+            if wa:
+                total += wa * h(a + b, a, b)
+        lefts[x, lz, b] = total
         return total
 
     def middle(z: int, a: int, b: int) -> int:
-        if (total := middles.get((z, a, b))) is None:
-            total = 0
-            for i, c in enumerate(binom[z]):
-                total += c * h(a + b + i, a, b)
-            middles[z, a, b] = total
+        total = 0
+        for i, c in enumerate(binom[z]):
+            total += c * h(a + b + i, a, b)
+        middles[z, a, b] = total
         return total
 
     def zone(x: int, lz: int) -> list[int]:
-        """Fillings of [1, lz] by their number of M positions."""
-        if (out := zones.get((x, lz))) is None:
-            if lz <= x:  # p <= x: M before p (an L letter would break the rule), C or M after
-                out = binom[x][:x]
-            else:  # p = lz: L or M before it, the first x positions in L's rule
-                out = [0] * lz
-                for i, ci in enumerate(binom[x]):
-                    for j, cj in enumerate(binom[lz - 1 - x]):
-                        out[lz - 1 - i - j] += ci * cj * h(i + j, i, 0)
-            zones[x, lz] = out
+        """Fillings of [1, lz] by their number of M positions; never empty (lz >= 1), so lookups use ``or``."""
+        if lz <= x:  # p <= x: M before p (an L letter would break the rule), C or M after
+            out = binom[x][:x]
+        else:  # p = lz: L or M before it, the first x positions in L's rule
+            out = [0] * lz
+            for i, ci in enumerate(binom[x]):
+                for j, cj in enumerate(binom[lz - 1 - x]):
+                    out[lz - 1 - i - j] += ci * cj * h(i + j, i, 0)
+        zones[x, lz] = out
         return out
 
+    return h, memo
+
+
+def _count_sss(n: int) -> tuple[int, int]:
+    """(sortable candidates of order n, memo states) from :func:`_sss_recursion`."""
+    h, memo = _sss_recursion(n)
     return h(n, 0, 0), len(memo)
 
 

@@ -485,10 +485,12 @@ def sort_diagram(diagram: PartitionDiagram) -> PartitionDiagram:
 
 def sort_diagram_traced(diagram: PartitionDiagram) -> tuple[PartitionDiagram, tuple[TraceEvent, ...]]:
     """Like :func:`sort_diagram`, also returning one event per split step."""
-    if diagram.propagation_number() == 0:
+    blocks = diagram.blocks
+    items = _titems(blocks)
+    if not any(map(_bottom, items)):
         return diagram, ()
     events: list[TraceEvent] = []
-    signed = {blk: _signed(blk) for blk in diagram.blocks if not _is_singleton(blk)}
-    pending = [_bottom_only(diagram.blocks)]
-    walked = _walk(_titems(diagram.blocks), lambda *split: events.append(_event(signed, split[0], _routed(pending, *split))))
-    return _assemble(diagram.order, walked + [blk for blk in diagram.blocks if not blk[0]]), tuple(events)
+    signed = {blk: _signed(blk) for blk in blocks if not _is_singleton(blk)}
+    pending = [_bottom_only(blocks)]
+    walked = _walk(items, lambda *split: events.append(_event(signed, split[0], _routed(pending, *split))))
+    return _assemble(diagram.order, walked + [blk for blk in blocks if not blk[0]]), tuple(events)

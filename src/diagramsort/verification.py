@@ -34,6 +34,7 @@ from .analysis import (
     _count_sss,
     _packed_words,
     _sort_packed,
+    _sss_recursion,
     _word_diagram,
     census_stretch_sortable,
     contains_231,
@@ -343,18 +344,18 @@ def _check_parser_round_trip(rng: random.Random) -> str:
 
 def _check_census_regression() -> str:
     # Bell numbers by B(m + 1) = sum of C(m, k) B(k): the census takes its totals from _bell's triangle.
+    top = max(SORTABLE_COUNTS)
     bell = [1]
-    for m in range(2 * max(SORTABLE_COUNTS)):
+    for m in range(2 * top):
         bell.append(sum(comb(m, k) * bell[k] for k in range(m + 1)))
+    h, _ = _sss_recursion(top)  # one fill, read at every order
     rows = []
     for n, want in sorted(SORTABLE_COUNTS.items()):
-        row = census_stretch_sortable(n)
-        _require(row.total == bell[2 * n], f"census total at n={n} is not Bell(2n)")
-        _require(
-            row.sortable == want,
-            f"census at n={n}: {row.sortable} != pinned {want} (computed, not from paper)",
-        )
-        rows.append(row.sortable)
+        _require(_bell(2 * n) == bell[2 * n], f"census total at n={n} is not Bell(2n)")
+        rows.append(h(n, 0, 0))
+        _require(rows[-1] == want, f"census at n={n}: {rows[-1]} != pinned {want} (computed, not from paper)")
+    row = census_stretch_sortable(top)  # the public row, once
+    _require((row.total, row.sortable) == (bell[2 * top], SORTABLE_COUNTS[top]), f"census row at n={top} differs")
     return f"sortable counts {rows} (computed, not from paper)"
 
 

@@ -1,4 +1,4 @@
-"""Output gate for the sort kernel: one SHA-256 per output kind over fixed inputs.
+"""Output gate for the sort kernel and the census counter: one SHA-256 per output kind.
 
 Usage: python3 tests/digest.py <src-dir> [<other-src-dir>]
 
@@ -10,10 +10,12 @@ line per output kind:
 - ``trace``: what ``sort --trace`` prints, the step lines then the image;
 - ``structural``: ``_structural_failure`` reasons;
 - ``decompose``: ``decompose`` results (block, left, middles, right,
-  padded block).
+  padded block);
+- ``census``: ``(n, count, states)`` from ``analysis._count_sss`` for
+  n = 0..30 and 40.
 
-The inputs are every diagram of order <= 5 (order <= 4 for
-``decompose``), then for every kind 1,500 seeded ``sparse_diagram``
+The diagram inputs are every diagram of order <= 5 (order <= 4 for
+``decompose``), then for every diagram kind 1,500 seeded ``sparse_diagram``
 inputs, ``chain_diagram`` with every base/plant pair at n = 30 and 240,
 75 ``common_point_diagram`` inputs, seeded permutations of 64, 256 and
 1000 embedded with ``embed_permutation``, 15 ``sparse_diagram`` inputs
@@ -24,7 +26,7 @@ top-overlap clusters each hold one block, top-only blocks among them;
 get past the shape test.
 With two trees, runs each in its own subprocess and prints one line per
 kind, ``same`` or ``differs`` with both digests, and exits 1 on any
-difference: a change that keeps every output prints ``same`` four times.
+difference: a change that keeps every output prints ``same`` five times.
 Uses only the standard library.
 """
 
@@ -88,6 +90,7 @@ def main(argv: list[str]) -> int:
         return 1
     sys.path[:0] = [str(Path(argv[0]).resolve()), str(Path(__file__).resolve().parent)]
     import reference
+    from diagramsort.analysis import _count_sss
     from diagramsort.cli import _trace_line
     from diagramsort.core import enumerate_diagrams, format_diagram
     from diagramsort.sorting import _structural_failure, decompose, sort_diagram, sort_diagram_traced
@@ -116,6 +119,8 @@ def main(argv: list[str]) -> int:
         for d in inputs:
             h.update("\n".join([format_diagram(d), *output(d), ""]).encode())
         print(f"{kind} {h.hexdigest()} ({len(inputs)} inputs)")
+    census = [(n, *_count_sss(n)) for n in (*range(31), 40)]
+    print(f"census {hashlib.sha256(repr(census).encode()).hexdigest()} ({len(census)} orders)")
     return 0
 
 

@@ -347,12 +347,20 @@ def test_census_recursion_states_at_order_20():
 
 def test_census_recursion_sums_left_zones_only_for_filled_right_zones():
     # A left zone summed for an empty right filling changes no count or state
-    # seen so far, only the work, so the rule is checked on the calls.
-    weights = []
+    # seen so far, only the work, so the rule is checked on what h asks for:
+    # the prefix P(x, u, b) where the zones are apart and left(x, lz, b) where
+    # they share a position.  h looks each up in its memo and calls it on a
+    # miss, so both the lookups and the calls must come with a filling.
+    weights: dict = {"prefix": [], "left": [], "prefixes": [], "lefts": []}
 
     def spy(frame, event, arg):
-        if event == "call" and frame.f_code.co_name == "left" and frame.f_back.f_code.co_name == "h":
-            weights.append(frame.f_back.f_locals["wb"])
+        if event == "call" and frame.f_code.co_name in weights and frame.f_back.f_code.co_name == "h":
+            weights[frame.f_code.co_name].append(frame.f_back.f_locals["wb"])
+        elif event == "c_call" and frame.f_code.co_name == "h" and getattr(arg, "__name__", None) == "get":
+            env = frame.f_locals
+            for name in ("prefixes", "lefts"):
+                if arg.__self__ is env[name]:
+                    weights[name].append(env["wb"])
 
     outer = sys.getprofile()
     sys.setprofile(spy)
@@ -360,7 +368,7 @@ def test_census_recursion_sums_left_zones_only_for_filled_right_zones():
         analysis_module._count_sss(12)
     finally:
         sys.setprofile(outer)
-    assert weights and all(weights)
+    assert all(found and all(found) for found in weights.values()), weights
 
 
 # Orders 21-30 as tabulated in the README (computed, not from paper).
@@ -373,12 +381,29 @@ DEEP_SORTABLE_COUNTS = {
 }
 
 
+def test_census_recursion_states_at_order_30():
+    assert analysis_module._count_sss(30) == (DEEP_SORTABLE_COUNTS[30], 2377)
+
+
 @pytest.mark.skipif(os.environ.get("DIAGRAMSORT_DEEP") != "1", reason="set DIAGRAMSORT_DEEP=1 for orders 21-30")
 def test_census_recursion_deep_orders():
     for n, want in DEEP_SORTABLE_COUNTS.items():
-        count, states = analysis_module._count_sss(n)
-        assert count == want, n
-    assert states == 2377  # order 30
+        assert analysis_module._count_sss(n)[0] == want, n
+
+
+@pytest.mark.skipif(os.environ.get("DIAGRAMSORT_DEEP") != "1", reason="set DIAGRAMSORT_DEEP=1 for orders 40 and 50")
+def test_census_recursion_orders_40_and_50():
+    # Computed, not from paper.
+    assert analysis_module._count_sss(40) == (89516199791137300240698521866048608604409062, 5552)
+    assert analysis_module._count_sss(50) == (
+        133464361826818098920104715436087439905873732776285413819172, 10752
+    )
+
+
+@pytest.mark.skipif(os.environ.get("DIAGRAMSORT_DEEP") != "1", reason="set DIAGRAMSORT_DEEP=1 for orders 0-30")
+def test_census_one_fill_equals_per_order_calls():
+    h, _ = analysis_module._sss_recursion(30)
+    assert [h(n, 0, 0) for n in range(31)] == [analysis_module._count_sss(n)[0] for n in range(31)]
 
 
 def test_word_map_runs_no_sort_kernel(monkeypatch):
