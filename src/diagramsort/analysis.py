@@ -11,9 +11,9 @@ A stretched identity has equal top and bottom sets in every block, and
 the sort keeps each block's sizes, never moves a bottom label and gives
 each propagating block consecutive top labels, so only diagrams of the
 right block shapes can be sortable.  The census counts the sortable
-structural candidates, Fubini(n) of the Bell(2n) diagrams, by a recursion
-on packed words that builds none of them; ``check`` sorts all Bell(2n) as
-the oracle and counts diagrams, candidates and sortable ones again.
+structural candidates, Fubini(n) of the Bell(2n) diagrams, in one table
+grown order by order by a recursion on packed words that builds none of
+them; the ``check`` oracle sorts all Bell(2n) and recounts all three.
 The counts are computed here, not quoted from any published table.
 """
 
@@ -102,7 +102,7 @@ class CensusRow(NamedTuple):
     """One census result: all diagrams of the order versus sortable ones.
 
     ``candidates``: the structural candidates, Fubini(n); ``states``: the
-    memo states the recursion filled.  ``check`` changes only ``elapsed``.
+    memo states the count of order n fills.  ``check`` changes only ``elapsed``.
     """
 
     n: int
@@ -166,8 +166,8 @@ def _sort_packed(w: tuple[int, ...], memo: dict) -> tuple[int, ...]:
     return memo[w]
 
 
-def _sss_recursion(n: int) -> tuple[Callable[[int, int, int], int], dict]:
-    """h(m, x, y) for m <= n and its memo of states, on packed words.
+def _census_table() -> Callable[[int], tuple[int, int]]:
+    """count(n) = (sortable candidates of order n, memo states), from one fill grown order by order.
 
     A candidate is a packed word, as :func:`_word_diagram` encodes it,
     and sorts as :func:`_sort_packed` does: with C the largest letter, w
@@ -184,15 +184,22 @@ def _sss_recursion(n: int) -> tuple[Callable[[int, int, int], int], dict]:
     one position (lz + rz = m + 1), times left(x, lz, b), the sum over a of
     zone(x, lz)[a] * middle(0, a, b).  Neither reads m or y, as a zone
     depends only on x and lz and the middle on z, a and b, so both are
-    memoized; both are summed only for a b that has fillings.  Every
-    h(k, 0, 0) with k <= n reads the one memo.
+    memoized; both are summed only for a b that has fillings.  ``count``
+    fills orders 0..n in turn, one ``binom`` row each; order k's fill
+    reaches h(k - 1, 0, 0), so it holds every lower order's states.
     """
-    binom = [[comb(k, i) for i in range(k + 1)] for k in range(n + 1)]
+    binom, rows = [], []  # each grows one row per order filled
     memo = {(0, 0, 0): 1}
     zones: dict = {}
     middles: dict = {}
     prefixes: dict = {}
     lefts: dict = {}
+
+    def count(n: int) -> tuple[int, int]:
+        for k in range(len(rows), n + 1):
+            binom.append([comb(k, i) for i in range(k + 1)])
+            rows.append((h(k, 0, 0), len(memo)))
+        return rows[n]
 
     def h(m: int, x: int, y: int) -> int:
         if x > y:
@@ -256,13 +263,7 @@ def _sss_recursion(n: int) -> tuple[Callable[[int, int, int], int], dict]:
         zones[x, lz] = out
         return out
 
-    return h, memo
-
-
-def _count_sss(n: int) -> tuple[int, int]:
-    """(sortable candidates of order n, memo states) from :func:`_sss_recursion`."""
-    h, memo = _sss_recursion(n)
-    return h(n, 0, 0), len(memo)
+    return count
 
 
 def _scan(args: tuple[int, tuple[int, ...]]) -> tuple[int, int, int]:
@@ -310,7 +311,7 @@ def _map_chunks(fn: Callable, chunks: list, jobs: int, diagrams: int) -> list:
 def census_stretch_sortable(n: int, *, check: bool = False, jobs: int = 1) -> CensusRow:
     """Count stretch-stack-sortable diagrams among all diagrams of order n.
 
-    The count comes from :func:`_count_sss`, which builds no diagram.
+    The count comes from a fresh :func:`_census_table`, which builds no diagram.
     With ``check`` set, every diagram is also sorted and both predicates
     compared on it; :class:`VerificationError` is raised if they disagree
     or if the diagrams, candidates or sortable ones scanned are not
@@ -319,13 +320,18 @@ def census_stretch_sortable(n: int, *, check: bool = False, jobs: int = 1) -> Ce
     scan by restricted growth prefix across processes above
     ``POOL_MIN_CANDIDATES`` diagrams.  Neither changes the row but ``elapsed``.
     """
+    return _census_row(n, _census_table(), check=check, jobs=jobs)
+
+
+def _census_row(n: int, count: Callable[[int], tuple[int, int]], *, check: bool = False, jobs: int = 1) -> CensusRow:
+    """:func:`census_stretch_sortable`'s row, read from ``count``; ``elapsed`` times what order n adds to its fill."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     if jobs < 1:
         raise ValueError("jobs must be positive")
     start = time.perf_counter()
     total, candidates = _bell(2 * n), _fubini(n)
-    sortable, states = _count_sss(n)
+    sortable, states = count(n)
     if check:
         prefixes = _rgs_strings(min(2 * n, 6))  # Bell(6) = 203 chunks
         scans = _map_chunks(_scan, [(n, p) for p in prefixes], jobs, total)

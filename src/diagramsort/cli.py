@@ -12,7 +12,7 @@ import json
 import sys
 from typing import Sequence
 
-from .analysis import VerificationError, census_stretch_sortable, count_t_stack_sortable, is_sss_direct
+from .analysis import VerificationError, _census_row, _census_table, count_t_stack_sortable, is_sss_direct
 from .core import compose, format_diagram, parse_diagram, to_dot
 from .sorting import TraceEvent, _structural_failure, sort_diagram, sort_diagram_traced
 from .stretch import SetComposition, is_stretch_of_identity, stretch_map
@@ -47,7 +47,7 @@ def _trace_line(event: TraceEvent, texts: dict[frozenset[int], str]) -> str:
     return " ".join([f"B={chosen}", column("L", event.left), *middles, column("R", event.right)])
 
 
-def _parse_order_range(text: str) -> list[int]:
+def _parse_order_range(text: str) -> range:
     lo_text, dots, hi_text = text.partition("..")
     try:
         lo, hi = int(lo_text), int(hi_text if dots else lo_text)
@@ -57,7 +57,7 @@ def _parse_order_range(text: str) -> list[int]:
         raise ValueError("empty order range")
     if lo < 0:
         raise ValueError("orders must be nonnegative")
-    return list(range(lo, hi + 1))
+    return range(lo, hi + 1)
 
 
 def _cmd_parse(args: argparse.Namespace) -> int:
@@ -112,8 +112,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
 def _cmd_census(args: argparse.Namespace) -> int:
     orders = _parse_order_range(args.n)
     print("# sortable counts are computed, not from paper", file=sys.stderr)
+    count = _census_table()  # one fill for the whole range
     for n in orders:
-        row = census_stretch_sortable(n, check=args.check, jobs=args.jobs)
+        row = _census_row(n, count, check=args.check, jobs=args.jobs)
         millis = round(row.elapsed * 1000)
         if args.json:
             fields = row._asdict()
@@ -225,8 +226,8 @@ def run(argv: Sequence[str] | None = None) -> int:
     except VerificationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, MemoryError) as exc:  # MemoryError: a size too large to allocate, no message
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

@@ -31,10 +31,10 @@ from .sorting import sort_diagram, sort_word
 from .stretch import SetComposition, is_stretch_of_identity, stretch_map
 from .analysis import (
     _bell,
-    _count_sss,
+    _census_row,
+    _census_table,
     _packed_words,
     _sort_packed,
-    _sss_recursion,
     _word_diagram,
     census_stretch_sortable,
     contains_231,
@@ -179,6 +179,7 @@ def _check_predicates_agree(deep: bool) -> str:
 def _check_census_counter(deep: bool) -> str:
     """The recursion against the word map per order; the word map against the sort's whole image per word."""
     memo: dict = {}
+    count = _census_table()
     sortable: Counter = Counter()  # by letter counts, the bottom sizes of the word's candidate
     words = 0
     for n in range(7 if deep else 6):
@@ -193,7 +194,7 @@ def _check_census_counter(deep: bool) -> str:
                 counted += 1
                 sortable[tuple(map(w.count, range(1, max(w, default=0) + 1)))] += 1
             words += 1
-        recursion = _count_sss(n)[0]
+        recursion = count(n)[0]
         _require(recursion == counted, f"recursion at n={n}: {recursion} != {counted} from the word map")
     _require((sortable[1, 1, 2, 1], sortable[1, 2, 1, 1]) == (29, 28), "(1,1,2,1), (1,2,1,1) must give 29, 28")
     return f"recursion = word map = direct sort, n <= {n}; {words} packed words"
@@ -348,15 +349,12 @@ def _check_census_regression() -> str:
     bell = [1]
     for m in range(2 * top):
         bell.append(sum(comb(m, k) * bell[k] for k in range(m + 1)))
-    h, _ = _sss_recursion(top)  # one fill, read at every order
-    rows = []
-    for n, want in sorted(SORTABLE_COUNTS.items()):
-        _require(_bell(2 * n) == bell[2 * n], f"census total at n={n} is not Bell(2n)")
-        rows.append(h(n, 0, 0))
-        _require(rows[-1] == want, f"census at n={n}: {rows[-1]} != pinned {want} (computed, not from paper)")
-    row = census_stretch_sortable(top)  # the public row, once
-    _require((row.total, row.sortable) == (bell[2 * top], SORTABLE_COUNTS[top]), f"census row at n={top} differs")
-    return f"sortable counts {rows} (computed, not from paper)"
+    count = _census_table()  # one fill, read at every order
+    for n, want in SORTABLE_COUNTS.items():
+        row = _census_row(n, count)
+        _require(row.total == bell[2 * n], f"census total at n={n} is not Bell(2n)")
+        _require(row.sortable == want, f"census at n={n}: {row.sortable} != pinned {want} (computed, not from paper)")
+    return f"sortable counts {list(SORTABLE_COUNTS.values())} (computed, not from paper)"
 
 
 def run_checks(deep: bool = False, seed: int = 2024) -> list[CheckResult]:

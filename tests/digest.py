@@ -11,8 +11,9 @@ line per output kind:
 - ``structural``: ``_structural_failure`` reasons;
 - ``decompose``: ``decompose`` results (block, left, middles, right,
   padded block);
-- ``census``: ``(n, count, states)`` from ``analysis._count_sss`` for
-  n = 0..30 and 40.
+- ``census``: ``(n, row.sortable, row.states)`` from the public
+  ``census_stretch_sortable(n)`` for n = 0..30 and 40, a fresh table
+  each; it names no private counter, so trees that rename one compare.
 
 The diagram inputs are every diagram of order <= 5 (order <= 4 for
 ``decompose``), then for every diagram kind 1,500 seeded ``sparse_diagram``
@@ -90,7 +91,7 @@ def main(argv: list[str]) -> int:
         return 1
     sys.path[:0] = [str(Path(argv[0]).resolve()), str(Path(__file__).resolve().parent)]
     import reference
-    from diagramsort.analysis import _count_sss
+    from diagramsort.analysis import census_stretch_sortable
     from diagramsort.cli import _trace_line
     from diagramsort.core import enumerate_diagrams, format_diagram
     from diagramsort.sorting import _structural_failure, decompose, sort_diagram, sort_diagram_traced
@@ -119,7 +120,7 @@ def main(argv: list[str]) -> int:
         for d in inputs:
             h.update("\n".join([format_diagram(d), *output(d), ""]).encode())
         print(f"{kind} {h.hexdigest()} ({len(inputs)} inputs)")
-    census = [(n, *_count_sss(n)) for n in (*range(31), 40)]
+    census = [(n, (row := census_stretch_sortable(n)).sortable, row.states) for n in (*range(31), 40)]
     print(f"census {hashlib.sha256(repr(census).encode()).hexdigest()} ({len(census)} orders)")
     return 0
 

@@ -335,14 +335,23 @@ def test_census_counter_matches_direct_sort_per_word_deep():
 
 def test_census_recursion_matches_word_map():
     memo = {}
+    count = analysis_module._census_table()
     for n in range(8):
         counted = sum(_sorted(_sort_packed(w, memo)) for w in _packed_words(n))
-        assert analysis_module._count_sss(n)[0] == counted == SORTABLE_COUNTS[n]
+        assert count(n)[0] == counted == SORTABLE_COUNTS[n]
 
 
 def test_census_recursion_states_at_order_20():
     # The memo states pin which (m, x, y) the recursion reaches, not only its count.
-    assert analysis_module._count_sss(20) == (SORTABLE_COUNTS[20], 727)
+    assert analysis_module._census_table()(20) == (SORTABLE_COUNTS[20], 727)
+
+
+def test_census_table_reads_any_order_as_a_fresh_fill():
+    # One table grows to order 20 on its first read; later reads of lower
+    # orders return the rows kept on the way, states included.
+    count = analysis_module._census_table()
+    for n in (20, 3, 11, 0, 17):
+        assert count(n) == analysis_module._census_table()(n), n
 
 
 def test_census_recursion_sums_left_zones_only_for_filled_right_zones():
@@ -365,7 +374,7 @@ def test_census_recursion_sums_left_zones_only_for_filled_right_zones():
     outer = sys.getprofile()
     sys.setprofile(spy)
     try:
-        analysis_module._count_sss(12)
+        analysis_module._census_table()(12)
     finally:
         sys.setprofile(outer)
     assert all(found and all(found) for found in weights.values()), weights
@@ -382,28 +391,29 @@ DEEP_SORTABLE_COUNTS = {
 
 
 def test_census_recursion_states_at_order_30():
-    assert analysis_module._count_sss(30) == (DEEP_SORTABLE_COUNTS[30], 2377)
+    assert analysis_module._census_table()(30) == (DEEP_SORTABLE_COUNTS[30], 2377)
 
 
 @pytest.mark.skipif(os.environ.get("DIAGRAMSORT_DEEP") != "1", reason="set DIAGRAMSORT_DEEP=1 for orders 21-30")
 def test_census_recursion_deep_orders():
+    count = analysis_module._census_table()
     for n, want in DEEP_SORTABLE_COUNTS.items():
-        assert analysis_module._count_sss(n)[0] == want, n
+        assert count(n)[0] == want, n
 
 
 @pytest.mark.skipif(os.environ.get("DIAGRAMSORT_DEEP") != "1", reason="set DIAGRAMSORT_DEEP=1 for orders 40 and 50")
 def test_census_recursion_orders_40_and_50():
     # Computed, not from paper.
-    assert analysis_module._count_sss(40) == (89516199791137300240698521866048608604409062, 5552)
-    assert analysis_module._count_sss(50) == (
+    assert analysis_module._census_table()(40) == (89516199791137300240698521866048608604409062, 5552)
+    assert analysis_module._census_table()(50) == (
         133464361826818098920104715436087439905873732776285413819172, 10752
     )
 
 
 @pytest.mark.skipif(os.environ.get("DIAGRAMSORT_DEEP") != "1", reason="set DIAGRAMSORT_DEEP=1 for orders 0-30")
 def test_census_one_fill_equals_per_order_calls():
-    h, _ = analysis_module._sss_recursion(30)
-    assert [h(n, 0, 0) for n in range(31)] == [analysis_module._count_sss(n)[0] for n in range(31)]
+    count = analysis_module._census_table()
+    assert [count(n) for n in range(31)] == [analysis_module._census_table()(n) for n in range(31)]
 
 
 def test_word_map_runs_no_sort_kernel(monkeypatch):
@@ -589,24 +599,24 @@ def test_census_check_names_a_predicate_disagreement(monkeypatch, capsys):
 
 
 def _drop_one_survivor(real):
-    def count(n):
-        sortable, states = real(n)
-        return sortable - (n == 3), states
+    def table():
+        count = real()
+        return lambda n: (count(n)[0] - (n == 3), count(n)[1])
 
-    return count
+    return table
 
 
 def _add_one_survivor(real):
-    def count(n):
-        sortable, states = real(n)
-        return sortable + (n == 3), states
+    def table():
+        count = real()
+        return lambda n: (count(n)[0] + (n == 3), count(n)[1])
 
-    return count
+    return table
 
 
 @pytest.mark.parametrize("patch", [_drop_one_survivor, _add_one_survivor])
 def test_census_check_catches_a_miscounting_counter(monkeypatch, patch):
-    monkeypatch.setattr(analysis_module, "_count_sss", patch(analysis_module._count_sss))
+    monkeypatch.setattr(analysis_module, "_census_table", patch(analysis_module._census_table))
     row = census_stretch_sortable(3)  # the census alone does not notice
     assert row.sortable != SORTABLE_COUNTS[3]
     with pytest.raises(VerificationError, match="sortable counted, scanned"):

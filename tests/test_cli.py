@@ -17,7 +17,7 @@ import pytest
 import diagramsort
 import diagramsort.cli as cli_module
 import diagramsort.verification as verification_module
-from diagramsort.analysis import VerificationError
+from diagramsort.analysis import VerificationError, census_stretch_sortable
 from diagramsort.cli import run
 from diagramsort.core import (
     AlgebraElement,
@@ -178,12 +178,58 @@ def test_census_rejects_nonpositive_jobs(capsys):
 
 
 def test_census_check_exits_two_on_verification_error(monkeypatch, capsys):
-    def failing(n, check=False, jobs=1):
+    def failing(n, count, check=False, jobs=1):
         raise VerificationError(f"oracle disagrees at order {n}")
 
-    monkeypatch.setattr(cli_module, "census_stretch_sortable", failing)
+    monkeypatch.setattr(cli_module, "_census_row", failing)
     assert run(["census", "--n", "2", "--check"]) == 2
     assert "verification failure: oracle disagrees at order 2" in capsys.readouterr().err
+
+
+def test_census_range_reads_one_table(monkeypatch, capsys):
+    tables = []
+    real = cli_module._census_table
+
+    def spy():
+        tables.append(real())
+        return tables[-1]
+
+    monkeypatch.setattr(cli_module, "_census_table", spy)
+    assert run(["census", "--n", "5..9", "--json"]) == 0
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert len(tables) == 1
+    for row in rows:
+        del row["millis"]
+    assert rows == [
+        {k: v for k, v in census_stretch_sortable(n)._asdict().items() if k != "elapsed"} for n in range(5, 10)
+    ]
+
+
+def test_census_streams_a_huge_range(monkeypatch, capsys):
+    orders = cli_module._parse_order_range("1..1000000000000")
+    assert orders == range(1, 10**12 + 1)  # a range object: no list of 10**12 orders is built
+    real = cli_module._census_row
+
+    def stop_at_three(n, count, check=False, jobs=1):
+        if n == 3:
+            raise ValueError("stopped at order 3")
+        return real(n, count, check=check, jobs=jobs)
+
+    monkeypatch.setattr(cli_module, "_census_row", stop_at_three)
+    assert run(["census", "--n", "1..1000000000000"]) == 1
+    captured = capsys.readouterr()
+    assert [line.split("\t")[:3] for line in captured.out.splitlines()] == [["1", "2", "1"], ["2", "15", "3"]]
+    assert captured.err.endswith("\nerror: stopped at order 3\n")
+
+
+def test_out_of_memory_exits_one(monkeypatch, capsys):
+    def exhausted(args):
+        raise MemoryError  # as a list too large to allocate raises it: no message
+
+    monkeypatch.setattr(cli_module, "_cmd_stretch", exhausted)
+    assert run(["stretch", "--alpha", "1", "--k", "1000000000000", "--order", "1", "{1,1'}"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: out of memory\n")
 
 
 def test_count_sortable(capsys):
