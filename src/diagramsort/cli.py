@@ -226,7 +226,7 @@ def run(argv: Sequence[str] | None = None) -> int:
     except VerificationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, MemoryError) as exc:  # MemoryError: a size too large to allocate, no message
+    except (ValueError, MemoryError, OverflowError) as exc:  # a size too large to allocate (no message) or to shift by
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 

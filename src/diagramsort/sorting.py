@@ -13,10 +13,11 @@ over the blocks with top nodes in least-top order.  Each piece is swept
 into top-overlap clusters with a Cartesian tree over them, keyed by
 bottom masks: on a permutation, the tree :func:`sort_word`'s stack
 builds.  A split at a one-block cluster is a tree node; only a cluster of
-several blocks is scanned.  When the walk records no steps, a piece whose
-clusters each hold one block is emitted in its tree's post-order, the
-word sort's stack order, and a piece whose top intervals all share a
-point by one sort by bottom mask.  One :class:`PartitionDiagram` is built
+several blocks is scanned.  When the walk records no steps, a fresh piece
+is tried before it is planted: one whose top intervals all share a point
+comes out by one sort by bottom mask, and one whose top intervals are
+disjoint by one pass through a stack, the word sort's, which is dropped
+at the first overlapping interval.  One :class:`PartitionDiagram` is built
 per sort, in one pass over the walk's blocks and the blocks without tops.
 """
 
@@ -214,19 +215,21 @@ def _walk(items: list[Item], step: Callable[..., bool] | None = None) -> list[Bl
     cluster of several items is scanned; what it sends left or right is
     swept again with the subtree beside it.
 
-    A walk that records no steps emits a fresh piece at once in two cases.
-    When each cluster holds one item, nothing is ever in the middle, so the
-    piece comes out in its tree's post-order: stack-sorting's image of the
-    keys (Knuth, TAOCP 2.2.1).  A zero-key subtree has no right child, as
-    ties go to the later cluster, so its post-order is its leaf's sequence
-    order.  When the top intervals all share a point (Helly's theorem in
-    1D: intervals that pairwise overlap do), C, the item with the largest
-    bottom mask, overlaps every other item, so L and R are empty.  The rest
-    is one middle group, since propagating blocks always share a group and
-    top-only blocks reach the common point, and that group shares the point
-    too.  So the piece comes out as its top-only blocks in least-top order,
-    then its propagating blocks by ascending bottom mask: one stable sort by
-    bottom mask.
+    A walk that records no steps tries two closed forms on a fresh piece
+    before it plants it.  When the top intervals all share a point (Helly's
+    theorem in 1D: intervals that pairwise overlap do), they are one
+    cluster, and C, the item with the largest bottom mask, overlaps every
+    other item, so L and R are empty.  The rest is one middle group, since
+    propagating blocks always share a group and top-only blocks reach the
+    common point, and that group shares the point too.  So the piece comes
+    out as its top-only blocks in least-top order, then its propagating
+    blocks by ascending bottom mask: one stable sort by bottom mask.
+    Otherwise one pass checks that each item starts past the largest top
+    before it.  While that holds, each cluster is one item and nothing is
+    in the middle, so the piece comes out in its tree's post-order: the
+    keys' stack-sorting image (Knuth, TAOCP 2.2.1), popping ties as the tree
+    sends them to the later item.  At the first overlap the pass is dropped
+    and the piece is planted.
 
     ``step(chosen, left, groups, right)`` is called on each split in
     pre-order, C an item and the factors pieces or None; if it returns
@@ -243,21 +246,23 @@ def _walk(items: list[Item], step: Callable[..., bool] | None = None) -> list[Bl
         tree, i, lo, hi = entry
         titems = tree[0]
         if i < 0:
+            if step is None:  # a fresh piece of the plain sort: its two closed forms, see above
+                if titems[-1][0] <= titems[0][1] and titems[-1][0] <= min(map(_largest_top, titems)):  # tops share a point
+                    out += map(_block, sorted(titems, key=_bottom))
+                    continue
+                mark, stack, reach = len(out), [(0, 0, float("inf"))], 0  # a key above every mask: never popped
+                for it in titems:  # disjoint tops: stack-sort by bottom mask, dropped at an overlap
+                    if it[0] <= reach:
+                        del out[mark:]
+                        break
+                    reach, key = it[1], it[2]
+                    while stack[-1][2] <= key:
+                        out.append(stack.pop()[3])
+                    stack.append(it)
+                else:
+                    out += [it[3] for it in stack[:0:-1]]
+                    continue
             i = _plant(tree)
-            if step is None and len(tree[2]) == len(titems):  # one item a cluster: see above
-                lefts, rights, seq, stack = tree[4], tree[5], [], [i]
-                while stack:  # root, right, left: the post-order reversed
-                    c = stack.pop()
-                    seq.append(c)
-                    if lefts[c] >= 0:
-                        stack.append(lefts[c])
-                    if rights[c] >= 0:
-                        stack.append(rights[c])
-                out += [titems[c][3] for c in reversed(seq)]
-                continue
-            if step is None and len(tree[2]) == 1 and titems[-1][0] <= min(map(_largest_top, titems)):
-                out += map(_block, sorted(titems, key=_bottom))  # tops share a point: see above
-                continue
         _, starts, keys, tops, lefts, rights, _ = tree
         key = keys[i]
         if not key:

@@ -21,10 +21,11 @@ inputs, ``chain_diagram`` with every base/plant pair at n = 30 and 240,
 75 ``common_point_diagram`` inputs, seeded permutations of 64, 256 and
 1000 embedded with ``embed_permutation``, 15 ``sparse_diagram`` inputs
 shaped like the benchmark's large random diagrams (n = 32..256, about
-2*sqrt(n) blocks) and 60 ``one_item_cluster_diagram`` inputs, whose
-top-overlap clusters each hold one block, top-only blocks among them;
-``structural`` also reads 300 seeded structural candidates, whose walks
-get past the shape test.
+2*sqrt(n) blocks), 60 ``one_item_cluster_diagram`` inputs, whose
+top-overlap clusters each hold one block, top-only blocks among them, and
+``cluster_chain_diagram`` at 30 and 60 clusters, whose 4-block clusters
+each send two blocks into the long subtree; ``structural`` also reads 300
+seeded structural candidates, whose walks get past the shape test.
 With two trees, runs each in its own subprocess and prints one line per
 kind, ``same`` or ``differs`` with both digests, and exits 1 on any
 difference: a change that keeps every output prints ``same`` five times.
@@ -59,6 +60,8 @@ def _seeded(reference):
         yield reference.sparse_diagram(rng, n, round(2 * n**0.5))
     for _ in range(60):
         yield reference.one_item_cluster_diagram(rng, rng.randint(2, 120))
+    for clusters in (30, 60):
+        yield reference.cluster_chain_diagram(clusters)
 
 
 def _candidates(reference):

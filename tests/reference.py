@@ -484,3 +484,34 @@ def one_item_cluster_diagram(rng: random.Random, n: int) -> PartitionDiagram:
         else:
             blocks.append(run)
     return canonicalize(blocks, n)
+
+
+def cluster_chain_diagram(clusters: int) -> PartitionDiagram:
+    """A chain of 4-block top-overlap clusters, each sending two blocks into the long subtree.
+
+    Cluster k holds top and bottom nodes p..p+4, p = 5k + 1: blocks
+    {p+1, p'}, {p+2, (p+1)'}, {p, p+4, (p+2)', (p+3)'} and C = {p+3, (p+4)'}.
+    C has the cluster's largest bottom and bottoms rise from cluster to
+    cluster, so the Cartesian tree over the clusters is a left path, and C
+    sends {p+1} and {p+2} left, into the subtree of every cluster before it,
+    and {p, p+4} to the middle.  Every block propagates with an interval
+    bottom as large as its top, so the diagram is a structural candidate.
+    """
+    blocks = []
+    for p in range(1, 5 * clusters, 5):
+        blocks += [{p + 1, -p}, {p + 2, -p - 1}, {p, p + 4, -p - 2, -p - 3}, {p + 3, -p - 4}]
+    return canonicalize(blocks, 5 * clusters)
+
+
+def widened_permutation(rng: random.Random, n: int, p: int, q: int) -> PartitionDiagram:
+    """A seeded permutation diagram of order n whose block on top p also takes top q > p.
+
+    The block that held top q keeps only its bottom node, a singleton.  For
+    q > p + 1 the top intervals are disjoint up to p and the item at p + 1
+    overlaps {p, q}.
+    """
+    word = rng.sample(range(1, n + 1), n)
+    blocks = [{i, -word[i - 1]} for i in range(1, n + 1)]
+    blocks[p - 1].add(q)
+    blocks[q - 1].discard(q)
+    return canonicalize(blocks, n)

@@ -232,6 +232,21 @@ def test_out_of_memory_exits_one(monkeypatch, capsys):
     assert (captured.out, captured.err) == ("", "error: out of memory\n")
 
 
+def test_huge_order_exits_one(capsys):
+    huge = "99999999999999999999"  # 1 << huge raises OverflowError before it allocates anything
+    for argv in (
+        ["parse", "--order", huge, "{}"],
+        ["sort", "--order", huge, "{}"],
+        ["compose", "--order", huge, "{}", "{}"],
+        ["check", "--order", huge, "{}"],
+        ["render", "--order", huge, "{}"],
+        ["stretch", "--alpha", "1", "--k", huge, "--order", "1", "{1,1'}"],
+    ):
+        assert run(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ") and captured.err.count("\n") == 1, argv
+
+
 def test_count_sortable(capsys):
     assert run(["count-sortable", "--n", "4"]) == 0
     assert capsys.readouterr().out == "14\n"

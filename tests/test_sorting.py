@@ -13,13 +13,16 @@ import diagramsort.sorting as sorting_module
 from conftest import diagrams, random_diagram
 from reference import (
     chain_diagram,
+    cluster_chain_diagram,
     common_point_diagram,
     one_item_cluster_diagram,
     sort_diagram_by_definition,
     sparse_diagram,
     stretched_chain,
     structural_candidate,
+    structural_failure_by_definition,
     trace_by_definition,
+    widened_permutation,
 )
 from diagramsort.analysis import is_sss_theorem
 from diagramsort.core import (
@@ -32,6 +35,7 @@ from diagramsort.core import (
     parse_diagram,
 )
 from diagramsort.sorting import (
+    _structural_failure,
     decompose,
     odot_assemble,
     sort_diagram,
@@ -360,6 +364,14 @@ def _count_scans(monkeypatch) -> list:
     return scans
 
 
+def _count_plants(monkeypatch) -> list:
+    """Record the size of every tree planted."""
+    planted = []
+    real_plant = sorting_module._plant
+    monkeypatch.setattr(sorting_module, "_plant", lambda tree: planted.append(len(tree[0])) or real_plant(tree))
+    return planted
+
+
 def test_permutation_chains_never_scan_a_cluster(monkeypatch):
     scans = _count_scans(monkeypatch)
     for n in (300, 2000):
@@ -399,16 +411,10 @@ def test_sort_on_planted_chains(monkeypatch):
 
 
 def test_one_block_chains_plant_each_item_once(monkeypatch):
-    # A subtree is a range of its planted tree's items, so every walk over a
-    # chain of one-block clusters plants all of its items in one call.
-    planted = []
-    real_plant = sorting_module._plant
-
-    def counting_plant(tree):
-        planted.append(len(tree[0]))
-        return real_plant(tree)
-
-    monkeypatch.setattr(sorting_module, "_plant", counting_plant)
+    # A subtree is a range of its planted tree's items, so every walk that
+    # splits a chain of one-block clusters plants all of its items in one
+    # call; the plain sort stack-sorts the chain and plants nothing.
+    planted = _count_plants(monkeypatch)
     # Each trace event lists every block below its step, quadratic on a chain: build none.
     monkeypatch.setattr(sorting_module, "_event", lambda signed, chosen, factors: None)
     rng = random.Random(21)
@@ -421,15 +427,16 @@ def test_one_block_chains_plant_each_item_once(monkeypatch):
         for walk in (sort_diagram, sort_diagram_traced, is_sss_theorem):
             planted.clear()
             walk(d)
-            assert planted == [d.propagation_number()], (walk.__name__, d.order)
+            assert planted == ([] if walk is sort_diagram else [d.propagation_number()]), (walk.__name__, d.order)
 
 
 def test_common_point_pieces_sort_without_a_scan(monkeypatch):
     # Every top interval holds top node 4; top-only, bottom-only and singleton blocks mixed in.
     d = parse_diagram("{1,7,2'|2,5,7',8'|3,8|4,1',3'|6|4',5'|6'}", 8)
+    planted = _count_plants(monkeypatch)
     scans = _count_scans(monkeypatch)
     image = sort_diagram(d)
-    assert scans == []
+    assert scans == [] and planted == []
     # The walk emits the top-only {3,8}, then the propagating blocks by bottom mask;
     # the propagating blocks take the first top labels.
     assert image == parse_diagram("{1,2,2'|3,1',3'|4,5,7',8'|6,7|8|4',5'|6'}", 8)
@@ -439,23 +446,29 @@ def test_common_point_pieces_sort_without_a_scan(monkeypatch):
     for n in range(5, 65):
         d = common_point_diagram(rng, n)
         scans.clear()
+        planted.clear()
         image = sort_diagram(d)
-        assert scans == []
+        assert scans == [] and planted == []
         assert image == sort_diagram_by_definition(d) == sort_diagram_traced(d)[0], format_diagram(d)
     d = common_point_diagram(rng, 1000)
     assert sort_diagram(d) == sort_diagram_traced(d)[0]
 
 
 def test_one_item_clusters_sort_in_post_order(monkeypatch):
-    # Every top-overlap cluster holds one block: the walk emits its tree's post-order
-    # from one planting, with no cluster scan, as the word sort's stack does.
-    planted = []
-    real_plant = sorting_module._plant
-    monkeypatch.setattr(sorting_module, "_plant", lambda tree: planted.append(len(tree[0])) or real_plant(tree))
+    # Every top-overlap cluster holds one block: the plain sort emits the tree's
+    # post-order by one pass through a stack, as the word sort does, and plants
+    # nothing; the traced sort and the structural test plant the tree once.
+    planted = _count_plants(monkeypatch)
     scans = _count_scans(monkeypatch)
     word = random.Random(26).sample(range(1, 1001), 1000)
-    assert sort_diagram(embed_permutation(word)) == embed_permutation(sort_word(word))
-    assert planted == [1000] and scans == []
+    d = embed_permutation(word)
+    assert sort_diagram(d) == embed_permutation(sort_word(word))
+    assert planted == [] and scans == []
+    monkeypatch.setattr(sorting_module, "_event", lambda signed, chosen, factors: None)
+    for walk in (sort_diagram_traced, is_sss_theorem):
+        planted.clear()
+        walk(d)
+        assert planted == [1000], walk.__name__
     # Top-only blocks take the first labels past the propagating ones, in sequence order.
     d = parse_diagram("{1,3,2'|2|4,5|6,1',4'|7,8,9|10,3'}", 10)
     image = parse_diagram("{1,2,2'|3,3'|4,1',4'|5,6|7,8,9|10|5'|6'|7'|8'|9'|10'}", 10)
@@ -465,9 +478,39 @@ def test_one_item_clusters_sort_in_post_order(monkeypatch):
         d = one_item_cluster_diagram(rng, n)
         planted.clear()
         image = sort_diagram(d)
-        assert len(planted) <= 1
+        assert planted == []
         assert image == sort_diagram_by_definition(d) == sort_diagram_traced(d)[0], format_diagram(d)
     assert scans == []
+
+
+def test_plain_sort_drops_the_stack_pass_at_an_overlap(monkeypatch):
+    # A permutation with one block's tops widened to {p, q}: the stack pass runs
+    # over the disjoint items before p + 1, is dropped there, and the piece is planted.
+    planted = _count_plants(monkeypatch)
+    rng = random.Random(29)
+    pairs = [(198, 200), (1, 200)]
+    for _ in range(38):
+        p = rng.randint(1, 198)
+        pairs.append((p, rng.randint(p + 2, 200)))
+    for p, q in pairs:
+        d = widened_permutation(rng, 200, p, q)
+        planted.clear()
+        image = sort_diagram(d)
+        assert planted[:1] == [199], (p, q)
+        assert image == sort_diagram_by_definition(d) == sort_diagram_traced(d)[0], (p, q)
+
+
+def test_sort_on_cluster_chains(monkeypatch):
+    # Each 4-block cluster sends two blocks into the long left subtree, which
+    # is planted again with them: the walk's quadratic shape.
+    scans = _count_scans(monkeypatch)
+    d = cluster_chain_diagram(40)
+    image = sort_diagram(d)
+    assert len(scans) == 40
+    traced, trace = sort_diagram_traced(d)
+    assert image == traced == sort_diagram_by_definition(d)
+    assert len(trace) == d.propagation_number() == 160
+    assert _structural_failure(d) == structural_failure_by_definition(d)
 
 
 @pytest.mark.skipif(os.environ.get("DIAGRAMSORT_DEEP") != "1", reason="set DIAGRAMSORT_DEEP=1 for chains of 1000 and 2000")
