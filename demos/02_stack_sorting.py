@@ -32,8 +32,11 @@ print("sorted      =", format_diagram(sort_diagram(dp)))
 big = parse_diagram("{1,2|3,5,7,2',4',6'|4,3'|6,7'|5',8'}", 8)
 result, trace = sort_diagram_traced(big)
 print("input  =", format_diagram(big))
+# Each event holds the diagram's own blocks, (top_mask, bottom_mask)
+# pairs with bit i-1 set when node i (or i') is in the block.
 for event in trace:
-    chosen = "{" + ",".join(f"{i}'" for i in sorted(-x for x in event.block if x < 0)) + "}"
+    bottoms = event.block[1]
+    chosen = "{" + ",".join(f"{i}'" for i in range(1, big.order + 1) if bottoms >> (i - 1) & 1) + "}"
     counts = [len(event.left), *map(len, event.middles), len(event.right)]
     print("  split at B with bottom", chosen, "- blocks per factor L, M1..Mk, R:", counts)
 print("output =", format_diagram(result))

@@ -10,10 +10,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .analysis import VerificationError, _census_row, _census_table, count_t_stack_sortable, is_sss_direct
-from .core import compose, format_diagram, parse_diagram, to_dot
+from .core import _bits, compose, format_diagram, parse_diagram, to_dot
 from .sorting import TraceEvent, _structural_failure, sort_diagram, sort_diagram_traced
 from .stretch import SetComposition, is_stretch_of_identity, stretch_map
 from .verification import run_checks
@@ -30,21 +30,22 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _format_nodes(nodes: Sequence[int]) -> str:
-    tops = sorted(x for x in nodes if x > 0)
-    bots = sorted(-x for x in nodes if x < 0)
-    return "{" + ",".join([str(i) for i in tops] + [f"{i}'" for i in bots]) + "}"
+def _format_block(block: tuple[int, int]) -> str:
+    t, b = block
+    return "{" + ",".join([*map(str, _bits(t)), *(f"{i}'" for i in _bits(b))]) + "}"
 
 
-def _trace_line(event: TraceEvent, texts: dict[frozenset[int], str]) -> str:
-    """One split step: B's bottoms, then the factors L, M1..Mk, R.  ``texts`` holds block texts for one sort."""
+def _trace_lines(trace: Sequence[TraceEvent]) -> Iterator[str]:
+    """One line per split step: B's bottoms, then the factors L, M1..Mk, R; each block's text is built once."""
+    texts: dict[int, str] = {}  # by id: the events keep the blocks alive, and a mask-pair key is rehashed per lookup
 
-    def column(label: str, blocks: tuple[frozenset[int], ...]) -> str:
-        return f"{label}=[{','.join([texts.get(b) or texts.setdefault(b, _format_nodes(tuple(b))) for b in blocks])}]"
+    def column(label: str, blocks: tuple[tuple[int, int], ...]) -> str:
+        return f"{label}=[{','.join([texts.get(id(b)) or texts.setdefault(id(b), _format_block(b)) for b in blocks])}]"
 
-    chosen = "{" + ",".join(f"{i}'" for i in sorted(-x for x in event.block if x < 0)) + "}"
-    middles = [column(f"M{j}", blocks) for j, blocks in enumerate(event.middles, 1)]
-    return " ".join([f"B={chosen}", column("L", event.left), *middles, column("R", event.right)])
+    for event in trace:
+        chosen = "{" + ",".join(f"{i}'" for i in _bits(event.block[1])) + "}"
+        middles = [column(f"M{j}", blocks) for j, blocks in enumerate(event.middles, 1)]
+        yield " ".join([f"B={chosen}", column("L", event.left), *middles, column("R", event.right)])
 
 
 def _parse_order_range(text: str) -> range:
@@ -78,9 +79,8 @@ def _cmd_sort(args: argparse.Namespace) -> int:
     diagram = parse_diagram(args.diagram, args.order)
     if args.trace:
         result, trace = sort_diagram_traced(diagram)
-        texts: dict[frozenset[int], str] = {}
-        for event in trace:
-            print(_trace_line(event, texts))
+        for line in _trace_lines(trace):
+            print(line)
     else:
         result = sort_diagram(diagram)
     print(format_diagram(result))
@@ -226,7 +226,10 @@ def run(argv: Sequence[str] | None = None) -> int:
     except VerificationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, MemoryError, OverflowError) as exc:  # a size too large to allocate (no message) or to shift by
+    except OverflowError:  # an order too large to shift by: CPython names only its digit count
+        print("error: order too large", file=sys.stderr)
+        return 1
+    except (ValueError, MemoryError) as exc:  # a size too large to allocate raises MemoryError, no message
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 

@@ -28,7 +28,7 @@ from itertools import accumulate
 from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .core import PartitionDiagram, _bits, _pad_blocks, _signed
+from .core import PartitionDiagram, _bits, _pad_blocks
 
 __all__ = [
     "sort_word",
@@ -78,15 +78,15 @@ def sort_word(word: Sequence[int]) -> tuple[int, ...]:
 class Decomposition(NamedTuple):
     """One splitting step around the chosen propagating block.
 
-    ``block`` is the propagating block holding the largest bottom node, as
-    a frozenset of signed nodes.  ``left``, ``middles``, and ``right`` are
-    diagrams of the original order carrying the blocks that lie strictly
-    left of, across, and strictly right of the chosen block (everything
-    else padded to singletons); ``padded_block`` carries the chosen block
-    alone.
+    ``block`` is the propagating block holding the largest bottom node,
+    the input diagram's own ``(top_mask, bottom_mask)`` pair.  ``left``,
+    ``middles``, and ``right`` are diagrams of the original order carrying
+    the blocks that lie strictly left of, across, and strictly right of
+    the chosen block (everything else padded to singletons);
+    ``padded_block`` carries the chosen block alone.
     """
 
-    block: frozenset[int]
+    block: Block
     left: PartitionDiagram
     middles: tuple[PartitionDiagram, ...]
     right: PartitionDiagram
@@ -96,15 +96,15 @@ class Decomposition(NamedTuple):
 class TraceEvent(NamedTuple):
     """One split step of a traced sort, shaped like :class:`Decomposition`.
 
-    ``block`` is the chosen block's signed-node set.  ``left``, each of
-    ``middles`` and ``right`` hold the node sets of the other non-singleton
-    blocks present at the step, one tuple per factor, in canonical order.
+    ``block`` is the chosen block; ``left``, each of ``middles`` and ``right``
+    hold the other non-singleton blocks at the step, one tuple per factor, in
+    canonical order.  Each block is an element of the input's ``blocks``.
     """
 
-    block: frozenset[int]
-    left: tuple[frozenset[int], ...]
-    middles: tuple[tuple[frozenset[int], ...], ...]
-    right: tuple[frozenset[int], ...]
+    block: Block
+    left: tuple[Block, ...]
+    middles: tuple[tuple[Block, ...], ...]
+    right: tuple[Block, ...]
 
 
 def _is_singleton(block: Block) -> bool:
@@ -354,8 +354,8 @@ def _structural_failure(diagram: PartitionDiagram) -> str | None:
     return f"split step {step}: factor order broken" if type(step) is int else None
 
 
-def _routed(pending: list[list[Block]], chosen: Item, left: Piece | None, groups: Sequence[Piece], right: Piece | None) -> list[list[Block]]:
-    """A split's factors L, M1..Mk, R as block lists in canonical order, bottom-only blocks placed.
+def _routed(pending: list[list[Block]], chosen: Item, left: Piece | None, groups: Sequence[Piece], right: Piece | None) -> tuple:
+    """A split's factors as (L, (M1..Mk), R), block tuples in canonical order, bottom-only blocks placed.
 
     Bottom-only blocks never change the image: they take no top label, are
     never C, and join or split no group of items, since propagating middle
@@ -392,7 +392,7 @@ def _routed(pending: list[list[Block]], chosen: Item, left: Piece | None, groups
         mids[0] += joined
     if any(map(_bottom, litems)):
         pending.append(lb)
-    return [[*map(_block, litems), *lb], *out, *mids, [*map(_block, ritems), *rb]]
+    return (*map(_block, litems), *lb), tuple(map(tuple, out + mids)), (*map(_block, ritems), *rb)
 
 
 def _assemble(order: int, blocks: list[Block]) -> PartitionDiagram:
@@ -435,9 +435,9 @@ def decompose(diagram: PartitionDiagram) -> Decomposition:
     if not first:
         raise ValueError("diagram has no propagating block")
     chosen, *sides = first[0]
-    left, *middles, right = _routed([_bottom_only(diagram.blocks)], chosen, *sides)
+    left, middles, right = _routed([_bottom_only(diagram.blocks)], chosen, *sides)
     pad = lambda blks: PartitionDiagram(n, _pad_blocks(blks, n))
-    return Decomposition(_signed(chosen[3]), pad(left), tuple(map(pad, middles)), pad(right), pad([chosen[3]]))
+    return Decomposition(chosen[3], pad(left), tuple(map(pad, middles)), pad(right), pad([chosen[3]]))
 
 
 def odot_assemble(factors: Iterable[PartitionDiagram], order: int) -> PartitionDiagram:
@@ -468,10 +468,13 @@ def odot_assemble(factors: Iterable[PartitionDiagram], order: int) -> PartitionD
     return _assemble(order, blocks + [(0, 1 << (i - 1)) for i in _bits(uncovered)])
 
 
-def _event(signed: dict, chosen: Item, factors: list[list[Block]]) -> TraceEvent:
-    """A step's event from its factors L, M1..Mk, R (see :func:`_routed`); ``signed`` maps each block to its node set."""
-    left, *middles, right = [tuple(map(signed.__getitem__, blocks)) for blocks in factors]
-    return TraceEvent(signed[chosen[3]], left, tuple(middles), right)
+def _sorted(diagram: PartitionDiagram, step: Callable[..., None] | None) -> PartitionDiagram:
+    """The sort's image: the walk's blocks, then the blocks without tops; ``step`` as :func:`_walk` takes it."""
+    blocks = diagram.blocks
+    items = _titems(blocks)
+    if not any(map(_bottom, items)):
+        return diagram
+    return _assemble(diagram.order, _walk(items, step) + [blk for blk in blocks if not blk[0]])
 
 
 def sort_diagram(diagram: PartitionDiagram) -> PartitionDiagram:
@@ -481,21 +484,12 @@ def sort_diagram(diagram: PartitionDiagram) -> PartitionDiagram:
     diagrams of permutations this agrees with :func:`sort_word` through
     the permutation embedding.
     """
-    blocks = diagram.blocks
-    items = _titems(blocks)
-    if not any(map(_bottom, items)):
-        return diagram
-    return _assemble(diagram.order, _walk(items) + [blk for blk in blocks if not blk[0]])
+    return _sorted(diagram, None)
 
 
 def sort_diagram_traced(diagram: PartitionDiagram) -> tuple[PartitionDiagram, tuple[TraceEvent, ...]]:
     """Like :func:`sort_diagram`, also returning one event per split step."""
-    blocks = diagram.blocks
-    items = _titems(blocks)
-    if not any(map(_bottom, items)):
-        return diagram, ()
     events: list[TraceEvent] = []
-    signed = {blk: _signed(blk) for blk in blocks if not _is_singleton(blk)}
-    pending = [_bottom_only(blocks)]
-    walked = _walk(items, lambda *split: events.append(_event(signed, split[0], _routed(pending, *split))))
-    return _assemble(diagram.order, walked + [blk for blk in blocks if not blk[0]]), tuple(events)
+    pending = [_bottom_only(diagram.blocks)]
+    image = _sorted(diagram, lambda chosen, *sides: events.append(TraceEvent(chosen[3], *_routed(pending, chosen, *sides))))
+    return image, tuple(events)

@@ -7,10 +7,11 @@ generators come from ``reference.py`` beside this file) and prints one
 line per output kind:
 
 - ``sort``: ``sort_diagram`` images;
-- ``trace``: what ``sort --trace`` prints, the step lines then the image;
+- ``trace``: what ``sort --trace`` prints, the step lines then the image,
+  from the CLI's own sort handler;
 - ``structural``: ``_structural_failure`` reasons;
-- ``decompose``: ``decompose`` results (block, left, middles, right,
-  padded block);
+- ``decompose``: ``decompose`` results (the chosen block's nodes, read
+  from the padded block, then left, middles, right, padded block);
 - ``census``: ``(n, row.sortable, row.states)`` from the public
   ``census_stretch_sortable(n)`` for n = 0..30 and 40, a fresh table
   each; it names no private counter, so trees that rename one compare.
@@ -29,12 +30,18 @@ seeded structural candidates, whose walks get past the shape test.
 With two trees, runs each in its own subprocess and prints one line per
 kind, ``same`` or ``differs`` with both digests, and exits 1 on any
 difference: a change that keeps every output prints ``same`` five times.
+``digest.expected`` beside this file holds the five lines of the committed
+source (the same under Python 3.10 and 3.11); CI diffs one tree's output
+against it.
 Uses only the standard library.
 """
 
 from __future__ import annotations
 
+import argparse
+import contextlib
 import hashlib
+import io
 import random
 import subprocess
 import sys
@@ -95,20 +102,22 @@ def main(argv: list[str]) -> int:
     sys.path[:0] = [str(Path(argv[0]).resolve()), str(Path(__file__).resolve().parent)]
     import reference
     from diagramsort.analysis import census_stretch_sortable
-    from diagramsort.cli import _trace_line
+    from diagramsort.cli import _cmd_sort
     from diagramsort.core import enumerate_diagrams, format_diagram
-    from diagramsort.sorting import _structural_failure, decompose, sort_diagram, sort_diagram_traced
+    from diagramsort.sorting import _structural_failure, decompose, sort_diagram
 
     def trace(d):
-        image, events = sort_diagram_traced(d)
-        texts: dict = {}
-        return [*(_trace_line(event, texts) for event in events), format_diagram(image)]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            _cmd_sort(argparse.Namespace(diagram=format_diagram(d), order=d.order, trace=True))
+        return out.getvalue().splitlines()
 
     def split(d):
         if d.propagation_number() == 0:
             return ["no propagating block"]
         dec = decompose(d)
-        return [repr(sorted(dec.block)), *map(format_diagram, (dec.left, *dec.middles, dec.right, dec.padded_block))]
+        chosen = next(nodes for nodes in dec.padded_block.block_sets() if len(nodes) > 1)  # alone in padded_block
+        return [repr(sorted(chosen)), *map(format_diagram, (dec.left, *dec.middles, dec.right, dec.padded_block))]
 
     small = [d for n in range(6) for d in enumerate_diagrams(n)]
     seeded = list(_seeded(reference))

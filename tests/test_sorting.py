@@ -9,6 +9,7 @@ import sys
 import pytest
 from hypothesis import given
 
+import diagramsort.core as core_module
 import diagramsort.sorting as sorting_module
 from conftest import diagrams, random_diagram
 from reference import (
@@ -27,6 +28,8 @@ from reference import (
 from diagramsort.analysis import is_sss_theorem
 from diagramsort.core import (
     PartitionDiagram,
+    _mask,
+    _signed,
     canonicalize,
     embed_permutation,
     enumerate_diagrams,
@@ -60,14 +63,19 @@ def _non_singleton_sets(d):
 
 
 def _non_singletons(d):
-    """The non-singleton node sets in canonical order, as a trace event lists a factor."""
-    return tuple(block for block in d.block_sets() if len(block) > 1)
+    """The non-singleton blocks in canonical order, as a trace event lists a factor."""
+    return tuple(blk for blk, nodes in zip(d.blocks, d.block_sets()) if len(nodes) > 1)
+
+
+def _pair(tops, bottoms):
+    """A block's (top_mask, bottom_mask) pair from its top and bottom indices."""
+    return _mask(tops), _mask(bottoms)
 
 
 def _tagged(block, left, middles, right):
-    """A split in ``trace_by_definition``'s form: C's bottoms, and each other block's factor."""
+    """A split in ``trace_by_definition``'s form: C's bottoms, and each other block's factor, keyed by its node set."""
     factors = [("L", 0, left), *(("M", j, m) for j, m in enumerate(middles, 1)), ("R", 0, right)]
-    return frozenset(-x for x in block if x < 0), {blk: (kind, group) for kind, group, f in factors for blk in f}
+    return frozenset(-x for x in _signed(block) if x < 0), {_signed(blk): (kind, group) for kind, group, f in factors for blk in f}
 
 
 # --- sort_word -------------------------------------------------------------
@@ -97,7 +105,7 @@ def test_sort_word_matches_recursive_definition():
 
 def test_decompose_eight_node_example():
     dec = decompose(parse_diagram(EX5_IN, 8))
-    assert dec.block == frozenset({6, -7})
+    assert dec.block == _pair([6], [7])
     assert _non_singleton_sets(dec.left) == {frozenset({1, 2}), frozenset({4, -3})}
     assert len(dec.middles) == 1
     assert _non_singleton_sets(dec.middles[0]) == {
@@ -110,7 +118,7 @@ def test_decompose_eight_node_example():
 
 def test_decompose_embedded_231():
     dec = decompose(embed_permutation((2, 3, 1)))
-    assert dec.block == frozenset({2, -3})
+    assert dec.block == _pair([2], [3])
     assert _non_singleton_sets(dec.left) == {frozenset({1, -2})}
     assert _non_singleton_sets(dec.right) == {frozenset({3, -1})}
     assert dec.middles == ()
@@ -118,7 +126,7 @@ def test_decompose_embedded_231():
 
 def test_decompose_identity_one():
     dec = decompose(identity_diagram(1))
-    assert dec.block == frozenset({1, -1})
+    assert dec.block == _pair([1], [1])
     assert _non_singleton_sets(dec.left) == set()
     assert _non_singleton_sets(dec.right) == set()
     assert dec.middles == ()
@@ -138,7 +146,7 @@ def test_decompose_partitions_the_non_singleton_blocks(d):
     assert all(p.order == d.order for p in pieces)
     scattered = [s for p in pieces for s in _non_singleton_sets(p)]
     assert len(scattered) == len(set(scattered))
-    assert set(scattered) | {dec.block} == _non_singleton_sets(d) | {dec.block}
+    assert set(scattered) | {_signed(dec.block)} == _non_singleton_sets(d)
 
 
 def test_decompose_matches_reference():
@@ -152,7 +160,7 @@ def test_decompose_matches_reference():
         parts = (dec.block, _non_singletons(dec.left), tuple(map(_non_singletons, dec.middles)), _non_singletons(dec.right))
         assert _tagged(*parts) == trace_by_definition(d)[0], format_diagram(d)
         assert sort_diagram_traced(d)[1][0] == parts, format_diagram(d)
-        assert dec.padded_block == canonicalize([dec.block], d.order)
+        assert dec.padded_block == canonicalize([_signed(dec.block)], d.order)
 
     for n in range(5):
         for d in enumerate_diagrams(n):
@@ -415,8 +423,6 @@ def test_one_block_chains_plant_each_item_once(monkeypatch):
     # splits a chain of one-block clusters plants all of its items in one
     # call; the plain sort stack-sorts the chain and plants nothing.
     planted = _count_plants(monkeypatch)
-    # Each trace event lists every block below its step, quadratic on a chain: build none.
-    monkeypatch.setattr(sorting_module, "_event", lambda signed, chosen, factors: None)
     rng = random.Random(21)
     for d in (
         embed_permutation(range(1, 2001)),
@@ -464,7 +470,6 @@ def test_one_item_clusters_sort_in_post_order(monkeypatch):
     d = embed_permutation(word)
     assert sort_diagram(d) == embed_permutation(sort_word(word))
     assert planted == [] and scans == []
-    monkeypatch.setattr(sorting_module, "_event", lambda signed, chosen, factors: None)
     for walk in (sort_diagram_traced, is_sss_theorem):
         planted.clear()
         walk(d)
@@ -583,7 +588,7 @@ def test_trace_lists_blocks_in_canonical_order():
         n = d.order
         for event in sort_diagram_traced(d)[1]:
             for factor in (event.left, *event.middles, event.right):
-                keys = [min(x if x > 0 else n - x for x in blk) for blk in factor]
+                keys = [min(x if x > 0 else n - x for x in _signed(blk)) for blk in factor]
                 assert keys == sorted(keys), format_diagram(d)
 
     for n in range(5):
@@ -597,37 +602,73 @@ def test_trace_lists_blocks_in_canonical_order():
             check(chain_diagram(rng, 60, base, plant))
 
 
-def test_trace_builds_each_block_once(monkeypatch):
-    # A one-block chain lists every block below each step: 44,850 entries at
-    # n = 300, but each block's node set is built once per sort.
+def test_trace_and_decompose_hold_the_diagrams_own_blocks():
+    # Every block an event or a decomposition names is one of the input's
+    # own (top_mask, bottom_mask) tuples, the same object, over the shapes
+    # tests/digest.py reads.  The diagram holds its blocks, so their ids
+    # stay theirs while it lives.
+    def check(d):
+        own = {id(blk) for blk in d.blocks}
+        for event in sort_diagram_traced(d)[1]:
+            named = [event.block, *event.left, *(blk for group in event.middles for blk in group), *event.right]
+            assert all(id(blk) in own for blk in named), format_diagram(d)
+        if d.propagation_number():
+            assert id(decompose(d).block) in own, format_diagram(d)
+
+    for n in range(5):
+        for d in enumerate_diagrams(n):
+            check(d)
+    rng = random.Random(30)
+    for _ in range(100):
+        check(sparse_diagram(rng, rng.randint(5, 24), rng.randint(2, 12)))
+    for base in ("decreasing", "increasing"):
+        for plant in (None, "root", "middle", "leaf"):
+            check(chain_diagram(rng, 30, base, plant))
+    for _ in range(20):
+        check(common_point_diagram(rng, rng.randint(5, 64)))
+        check(one_item_cluster_diagram(rng, rng.randint(2, 120)))
+    check(embed_permutation(rng.sample(range(1, 65), 64)))
+    for n in range(32, 257, 32):
+        check(sparse_diagram(rng, n, round(2 * n**0.5)))
+    check(cluster_chain_diagram(30))
+
+
+def test_trace_and_decompose_build_no_node_sets(monkeypatch):
+    # A one-block chain lists every block below each step, 44,850 entries
+    # at n = 300, all mask pairs: no signed-node set is built.
     calls = []
-    real_signed = sorting_module._signed
-    monkeypatch.setattr(sorting_module, "_signed", lambda blk: calls.append(blk) or real_signed(blk))
+    real_signed = core_module._signed
+    spy = lambda blk: calls.append(blk) or real_signed(blk)
+    monkeypatch.setattr(core_module, "_signed", spy)
+    monkeypatch.setattr(sorting_module, "_signed", spy, raising=False)  # should sorting import it again
     d = embed_permutation(range(1, 301))
     _, trace = sort_diagram_traced(d)
     assert sum(len(event.left) + sum(map(len, event.middles)) + len(event.right) for event in trace) == 299 * 300 // 2
-    assert len(calls) == len(set(calls)) <= len(_non_singleton_sets(d))
+    for d in (d, parse_diagram(EX5_IN, 8), parse_diagram(EX18_IN, 9), cluster_chain_diagram(10)):
+        sort_diagram_traced(d)
+        decompose(d)
+    assert calls == []
 
 
 def test_trace_of_identity_two():
     # Two split steps; the first still classifies {1,1'} as a left block,
     # the second has nothing left to classify.
     _, trace = sort_diagram_traced(identity_diagram(2))
-    assert trace == ((frozenset({2, -2}), (frozenset({1, -1}),), (), ()), (frozenset({1, -1}), (), (), ()))
+    assert trace == ((_pair([2], [2]), (_pair([1], [1]),), (), ()), (_pair([1], [1]), (), (), ()))
 
 
 def test_trace_first_event_eight_node_example():
     _, trace = sort_diagram_traced(parse_diagram(EX5_IN, 8))
     first = trace[0]
-    assert first.block == frozenset({6, -7})
-    assert first.left == (frozenset({1, 2}), frozenset({4, -3}))
-    assert first.middles == ((frozenset({3, 5, 7, -2, -4, -6}), frozenset({-5, -8})),)
+    assert first.block == _pair([6], [7])
+    assert first.left == (_pair([1, 2], []), _pair([4], [3]))
+    assert first.middles == ((_pair([3, 5, 7], [2, 4, 6]), _pair([], [5, 8])),)
     assert first.right == ()
 
 
 def test_trace_first_event_nine_node_example():
     _, trace = sort_diagram_traced(parse_diagram(EX18_IN, 9))
     first = trace[0]
-    assert first.block == frozenset({5, 8, 9, -7, -8, -9})
-    assert first.left == (frozenset({1, 2, 3, -4, -5, -6}),)
-    assert first.middles == ((frozenset({4, 6, 7, -1, -2, -3}),),)
+    assert first.block == _pair([5, 8, 9], [7, 8, 9])
+    assert first.left == (_pair([1, 2, 3], [4, 5, 6]),)
+    assert first.middles == ((_pair([4, 6, 7], [1, 2, 3]),),)
