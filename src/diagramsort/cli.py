@@ -2,7 +2,8 @@
 
 Subcommands: parse, compose, sort, stretch, check, census, count-sortable,
 verify, render.  Exit code 0 on success, 1 on a domain error such as a
-parse failure or order mismatch, 2 on a verification failure.
+parse failure or order mismatch, 2 on a verification failure, 130 on
+Ctrl-C (what was printed before it stays printed).
 """
 
 from __future__ import annotations
@@ -232,6 +233,9 @@ def run(argv: Sequence[str] | None = None) -> int:
     except (ValueError, MemoryError) as exc:  # a size too large to allocate raises MemoryError, no message
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 def main() -> None:

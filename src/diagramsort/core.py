@@ -21,7 +21,9 @@ out-of-range or repeated node of a block.  The text layer shares one
 grow-only table of node names and their bits (indices up to 1024):
 ``format_diagram`` looks names up, and ``parse_diagram`` sums a block's
 name bits, reading token by token only other spellings ("-4", "04"),
-larger indices and faulty blocks, whose nodes go to ``_block_masks``.
+larger indices and faulty blocks.  Every block read off the table hands
+its signed nodes to ``_block_masks``; the token reader names only an
+empty block or a malformed token.
 ``compose`` maps the middle row to d2's blocks once per call;
 ``algebra_multiply`` does so once per right-hand term.
 Blocks are kept in a canonical order (sorted by least node, all top nodes
@@ -423,32 +425,21 @@ def _read_block(part: str, order: int) -> tuple[int, int]:
 
     This is the path for the spellings the name table lacks (``-i``,
     leading zeros, indices past its capacity) and for every faulty block.
-    Each node's bit is ORed in as its token is read.  A malformed token is
-    named at once; a bad or repeated node only marks the block, whose fault
-    :func:`_block_masks` names once every token reads well.
+    A malformed token is named at once; once every token reads well, the
+    block's signed nodes go to :func:`_block_masks`, which names a zero,
+    out-of-range or repeated node.
     """
     if not part:
         raise ValueError("empty block in diagram text")
-    tokens = part.split(",")
-    t = b = 0
-    bad = False
-    for token in tokens:
+    nodes = []
+    for token in part.split(","):
         digits = token.removesuffix("'")
         if digits == token:
             digits = token.removeprefix("-")
         if not (digits.isascii() and digits.isdigit()):
             raise ValueError(f"bad node token {token!r}")
-        i = int(digits)
-        if not 0 < i <= order:
-            bad = True
-        elif digits == token:
-            if t == (t := t | 1 << (i - 1)):  # the bit was set already
-                bad = True
-        elif b == (b := b | 1 << (i - 1)):
-            bad = True
-    if bad:
-        return _block_masks([-int(token[:-1]) if token[-1] == "'" else int(token) for token in tokens], order)
-    return t, b
+        nodes.append(int(digits) if digits == token else -int(digits))
+    return _block_masks(nodes, order)
 
 
 def format_diagram(diagram: PartitionDiagram) -> str:

@@ -107,11 +107,6 @@ class TraceEvent(NamedTuple):
     right: tuple[Block, ...]
 
 
-def _is_singleton(block: Block) -> bool:
-    t, b = block
-    return (t | b).bit_count() == 1 and (t == 0 or b == 0)
-
-
 _least_top, _largest_top, _bottom, _block = itemgetter(0), itemgetter(1), itemgetter(2), itemgetter(3)
 
 
@@ -452,15 +447,14 @@ def odot_assemble(factors: Iterable[PartitionDiagram], order: int) -> PartitionD
     bottom sets must be pairwise disjoint.  Unused top labels and the
     bottom nodes no factor's non-singleton block holds become singletons.
     """
-    fs = list(factors)
-    for f in fs:
+    blocks = []
+    for f in factors:
         if f.order != order:
             raise ValueError("factor order mismatch")
-        p = f.propagation_number()
-        if p > 1 or (p == 1 and any(not _is_singleton(b) for b in f.blocks if not (b[0] and b[1]))):
+        items, rest = _titems(f.blocks), _bottom_only(f.blocks)
+        if (len(items) > 1 or rest) and any(map(_bottom, items)):
             raise ValueError("factor must be non-propagating or one propagating block plus singletons")
-    # canonical block order already lists top-row blocks by least top node
-    blocks = [blk for f in fs for blk in f.blocks if not _is_singleton(blk)]
+        blocks += [*map(_block, items), *rest]  # canonical order: items by least top, then bottom-only blocks
     covered = 0
     for _, b in blocks:
         covered |= b

@@ -222,6 +222,22 @@ def test_census_streams_a_huge_range(monkeypatch, capsys):
     assert captured.err.endswith("\nerror: stopped at order 3\n")
 
 
+def test_ctrl_c_keeps_the_printed_rows_and_exits_130(monkeypatch, capsys):
+    real = cli_module._census_row
+
+    def interrupted_at_three(n, count, check=False, jobs=1):
+        if n == 3:
+            raise KeyboardInterrupt  # as Ctrl-C raises it in the main thread
+        return real(n, count, check=check, jobs=jobs)
+
+    monkeypatch.setattr(cli_module, "_census_row", interrupted_at_three)
+    assert run(["census", "--n", "1..4"]) == 130
+    captured = capsys.readouterr()
+    assert [line.split("\t")[:3] for line in captured.out.splitlines()] == [["1", "2", "1"], ["2", "15", "3"]]
+    assert captured.err.endswith("\ninterrupted\n")
+    assert "Traceback" not in captured.err
+
+
 def test_out_of_memory_exits_one(monkeypatch, capsys):
     def exhausted(args):
         raise MemoryError  # as a list too large to allocate raises it: no message

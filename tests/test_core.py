@@ -415,6 +415,27 @@ def test_parse_rejections_survive_a_larger_table(fresh_names):
     test_parse_rejects_bad_input()  # "{4}" at order 3 must still be out of range 1..3
 
 
+def test_faults_past_the_table_limit_read_as_at_order_three(fresh_names):
+    """Indices past the name table reach ``_read_block``; its faults read as at a small order."""
+
+    def faults(n):
+        i = n - 1  # past the table's limit when n is
+        return [
+            (f"{{{i},x}}", "bad node token 'x'"),
+            (f"{{{i},0}}", "node 0 is not valid; nodes are +i (top) or -i (bottom)"),
+            (f"{{{i},{n + 1}}}", f"node index {n + 1} out of range 1..{n}"),
+            (f"{{{i},{i}}}", f"duplicate node {i} in block"),
+            (f"{{{i}',-{i}}}", f"duplicate node {i}' in block"),
+        ]
+
+    for n in (3, core._NAMES_LIMIT + 9):
+        for text, message in faults(n):
+            with pytest.raises(ValueError) as err:
+                parse_diagram(text, n)
+            assert (n, text, str(err.value)) == (n, text, message)
+    assert core._names.capacity == core._NAMES_LIMIT
+
+
 def test_round_trips_as_the_table_grows_and_after(fresh_names):
     rng = random.Random(29)
     orders = [0, 1, 63, 64, 65, 128, 129, 300, core._NAMES_LIMIT + 9]

@@ -259,6 +259,19 @@ def test_assemble_rejects_order_mismatch():
         odot_assemble([identity_diagram(1)], 2)
 
 
+def test_assemble_rejections_name_their_fault():
+    shape = "factor must be non-propagating or one propagating block plus singletons"
+    for factors, order, message in [
+        ([identity_diagram(1)], 2, "factor order mismatch"),
+        ([identity_diagram(2)], 2, shape),  # two propagating blocks
+        ([canonicalize([{1, -1}, {2, 3}], 3)], 3, shape),  # a propagating and a top-only block
+        ([canonicalize([{1, -1}, {-2, -3}], 3)], 3, shape),  # a propagating and a bottom-only block
+    ]:
+        with pytest.raises(ValueError) as err:
+            odot_assemble(factors, order)
+        assert str(err.value) == message
+
+
 # --- sort_diagram ----------------------------------------------------------
 
 
