@@ -2,8 +2,9 @@
 
 Subcommands: parse, compose, sort, stretch, check, census, count-sortable,
 verify, render.  Exit code 0 on success, 1 on a domain error such as a
-parse failure or order mismatch, 2 on a verification failure, 130 on
-Ctrl-C (what was printed before it stays printed).
+parse failure, an order mismatch or a brute-force scan over SCAN_CAP
+items, 2 on a verification failure, 130 on Ctrl-C (what was printed
+before it stays printed).
 """
 
 from __future__ import annotations
@@ -11,9 +12,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Iterator, Sequence
+from math import factorial
+from typing import Callable, Iterator, Sequence
 
-from .analysis import VerificationError, _census_row, _census_table, count_t_stack_sortable, is_sss_direct
+from .analysis import VerificationError, _bell, _census_row, _census_table, count_t_stack_sortable, is_sss_direct
 from .core import _bits, compose, format_diagram, parse_diagram, to_dot
 from .sorting import TraceEvent, _structural_failure, sort_diagram, sort_diagram_traced
 from .stretch import SetComposition, is_stretch_of_identity, stretch_map
@@ -47,6 +49,20 @@ def _trace_lines(trace: Sequence[TraceEvent]) -> Iterator[str]:
         chosen = "{" + ",".join(f"{i}'" for i in _bits(event.block[1])) + "}"
         middles = [column(f"M{j}", blocks) for j, blocks in enumerate(event.middles, 1)]
         yield " ".join([f"B={chosen}", column("L", event.left), *middles, column("R", event.right)])
+
+
+# A brute-force scan of more items than this fails at once.  10! = 3,628,800
+# permutations (count-sortable --n 10) take about 27 s and Bell(12) = 4,213,597
+# diagrams (census --check at order 6) about 85 s on one core; 11! and
+# Bell(14) would take about 5 minutes and 1.5 hours.
+SCAN_CAP = 5_000_000
+
+
+def _cap_scan(name: str, size: Callable[[int], int], n: int, what: str) -> None:
+    """Fail before a scan of size(n) items over SCAN_CAP; past n = 100 every scan is, and size(n) is not computed."""
+    if n > 100 or size(n) > SCAN_CAP:
+        count = "" if n > 100 else f" = {size(n)}"
+        raise ValueError(f"the scan of {name}{count} {what} is over the cap of {SCAN_CAP}")
 
 
 def _parse_order_range(text: str) -> range:
@@ -112,6 +128,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_census(args: argparse.Namespace) -> int:
     orders = _parse_order_range(args.n)
+    if args.check:
+        _cap_scan(f"Bell({2 * orders[-1]})", lambda n: _bell(2 * n), orders[-1], "diagrams")
     print("# sortable counts are computed, not from paper", file=sys.stderr)
     count = _census_table()  # one fill for the whole range
     for n in orders:
@@ -127,6 +145,8 @@ def _cmd_census(args: argparse.Namespace) -> int:
 
 
 def _cmd_count_sortable(args: argparse.Namespace) -> int:
+    if args.n > 0:
+        _cap_scan(f"{args.n}!", factorial, args.n, "permutations")
     print(count_t_stack_sortable(args.n, args.t))
     return 0
 

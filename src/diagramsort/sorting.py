@@ -13,12 +13,16 @@ over the blocks with top nodes in least-top order.  Each piece is swept
 into top-overlap clusters with a Cartesian tree over them, keyed by
 bottom masks: on a permutation, the tree :func:`sort_word`'s stack
 builds.  A split at a one-block cluster is a tree node; only a cluster of
-several blocks is scanned.  When the walk records no steps, a fresh piece
-is tried before it is planted: one whose top intervals all share a point
-comes out by one sort by bottom mask, and one whose top intervals are
-disjoint by one pass through a stack, the word sort's, which is dropped
-at the first overlapping interval.  One :class:`PartitionDiagram` is built
-per sort, in one pass over the walk's blocks and the blocks without tops.
+several blocks is scanned.  The plain sort and the structural test try
+three closed forms on a fresh piece before they plant it: one whose top
+intervals all share a point comes out by one sort by bottom mask; one
+whose top intervals are disjoint by one pass through a stack, the word
+sort's, which is dropped at the first overlapping interval; and one whose
+block with the largest bottom mask overlaps every other block's tops is
+split there at once, its other blocks the next piece.  The structural
+test counts these splits without making them, and plants a disjoint piece
+only when its stack image is out of order.  One :class:`PartitionDiagram`
+is built per sort, in one pass over the walk's blocks and the blocks without tops.
 """
 
 from __future__ import annotations
@@ -185,8 +189,10 @@ def _groups(mid: list[Item]) -> list[Piece]:
 
     Propagating blocks all reach across n' | 1, so they form one group P,
     first, with the top-only blocks chained to their tops; other top-only
-    groups follow P.
+    groups follow P.  A middle that all propagates is one group.
     """
+    if all(map(_bottom, mid)):
+        return [([mid], -1, 0, len(mid))]
     reach = max([it[1] for it in mid if it[2]], default=0)
     groups: list[list[Item]] = [[]]
     for it in mid:
@@ -210,21 +216,38 @@ def _walk(items: list[Item], step: Callable[..., bool] | None = None) -> list[Bl
     cluster of several items is scanned; what it sends left or right is
     swept again with the subtree beside it.
 
-    A walk that records no steps tries two closed forms on a fresh piece
-    before it plants it.  When the top intervals all share a point (Helly's
-    theorem in 1D: intervals that pairwise overlap do), they are one
-    cluster, and C, the item with the largest bottom mask, overlaps every
-    other item, so L and R are empty.  The rest is one middle group, since
-    propagating blocks always share a group and top-only blocks reach the
-    common point, and that group shares the point too.  So the piece comes
-    out as its top-only blocks in least-top order, then its propagating
-    blocks by ascending bottom mask: one stable sort by bottom mask.
-    Otherwise one pass checks that each item starts past the largest top
-    before it.  While that holds, each cluster is one item and nothing is
-    in the middle, so the piece comes out in its tree's post-order: the
-    keys' stack-sorting image (Knuth, TAOCP 2.2.1), popping ties as the tree
-    sends them to the later item.  At the first overlap the pass is dropped
-    and the piece is planted.
+    The plain sort and the structural test (``step`` None or
+    :func:`_broken`) try three closed forms on a fresh piece before they
+    plant it.  When the top intervals all share a point (Helly's theorem in
+    1D: intervals that pairwise overlap do), they are one cluster, and C,
+    the item with the largest bottom mask, overlaps every other item, so L
+    and R are empty.  The rest is one middle group, since propagating
+    blocks always share a group and top-only blocks reach the common point,
+    and that group shares the point too.  So the piece comes out as its
+    top-only blocks in least-top order, then its propagating blocks by
+    ascending bottom mask: one stable sort by bottom mask.  When the first
+    two items are disjoint, one pass checks that each item starts past the
+    largest top before it.  While that holds, each cluster is one item and
+    nothing is in the middle, so the piece comes out in its tree's
+    post-order: the keys' stack-sorting image (Knuth, TAOCP 2.2.1), popping
+    ties as the tree sends them to the later item.  At the first overlap
+    the pass is dropped and the piece is planted.  When the first two items
+    overlap, C overlaps every other item iff lo(C) <= mh and hi(C) >= ml,
+    mh the least largest top and ml the largest least top (the last
+    item's); this holds even when C attains mh or ml itself.  Then L and R
+    are empty and C is peeled off: its middle groups are the next pieces,
+    one piece when they all propagate.  A peel shortens its piece's list in
+    place, ``items`` too.
+
+    The structural test makes none of these splits, it counts them.  Its
+    items all propagate, so a piece makes one split per item.  Splits with
+    a common point or a peel have one factor each, so none breaks.  A
+    stack's output rises iff at every node of its tree the left subtree
+    lies below the right one, and interval bottoms compare as their masks
+    do, so a piece with disjoint tops is unbroken iff its image's bottoms
+    rise.  If they do not, the piece is planted, and its broken step is
+    found and numbered split by split.  The trace and :func:`decompose`
+    split every piece step by step.
 
     ``step(chosen, left, groups, right)`` is called on each split in
     pre-order, C an item and the factors pieces or None; if it returns
@@ -241,22 +264,39 @@ def _walk(items: list[Item], step: Callable[..., bool] | None = None) -> list[Bl
         tree, i, lo, hi = entry
         titems = tree[0]
         if i < 0:
-            if step is None:  # a fresh piece of the plain sort: its two closed forms, see above
-                if titems[-1][0] <= titems[0][1] and titems[-1][0] <= min(map(_largest_top, titems)):  # tops share a point
-                    out += map(_block, sorted(titems, key=_bottom))
+            if step is None or step is _broken:  # a fresh piece: its closed forms, see above
+                ml, h0 = titems[-1][0], titems[0][1]
+                if ml <= h0 and ml <= min(map(_largest_top, titems)):  # tops share a point
+                    steps += len(titems)
+                    if step is None:
+                        out += map(_block, sorted(titems, key=_bottom))
                     continue
-                mark, stack, reach = len(out), [(0, 0, float("inf"))], 0  # a key above every mask: never popped
-                for it in titems:  # disjoint tops: stack-sort by bottom mask, dropped at an overlap
-                    if it[0] <= reach:
-                        del out[mark:]
-                        break
-                    reach, key = it[1], it[2]
-                    while stack[-1][2] <= key:
-                        out.append(stack.pop()[3])
-                    stack.append(it)
-                else:
-                    out += [it[3] for it in stack[:0:-1]]
-                    continue
+                if titems[1][0] > h0:  # a disjoint first pair: stack-sort by bottom mask, dropped at an overlap
+                    image, stack, reach = [], [(0, 0, float("inf"))], 0  # a key above every mask: never popped
+                    for it in titems:
+                        if it[0] <= reach:
+                            break
+                        reach, key = it[1], it[2]
+                        while stack[-1][2] <= key:
+                            image.append(stack.pop()[3])
+                        stack.append(it)
+                    else:
+                        image += [it[3] for it in stack[:0:-1]]
+                        if step is None:
+                            out += image
+                            continue
+                        bottoms = [b for _, b in image]
+                        if bottoms == sorted(bottoms):  # unbroken: the image's bottoms rise
+                            steps += len(titems)
+                            continue
+                else:  # the first pair overlaps: peel C off if it overlaps every other item
+                    c = max(titems, key=_bottom)
+                    if c[2] and c[0] <= h0 and c[1] >= ml and c[0] <= min(map(_largest_top, titems)):
+                        steps += 1
+                        titems.remove(c)
+                        work.append(c[3])
+                        work += reversed(_groups(titems))
+                        continue
             i = _plant(tree)
         _, starts, keys, tops, lefts, rights, _ = tree
         key = keys[i]
@@ -279,10 +319,7 @@ def _walk(items: list[Item], step: Callable[..., bool] | None = None) -> list[Bl
             right = ([rpart], -1, 0, len(rpart))
         else:
             right = (tree, rights[i], e, hi) if e < hi else None
-        if mid and not all(map(_bottom, mid)):
-            groups = _groups(mid)
-        else:  # the middle all propagates: one group
-            groups = [([mid], -1, 0, len(mid))] if mid else ()
+        groups = _groups(mid) if mid else ()
         if step is not None:
             steps += 1
             if step(chosen, left, groups, right):

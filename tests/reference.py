@@ -515,3 +515,30 @@ def widened_permutation(rng: random.Random, n: int, p: int, q: int) -> Partition
     blocks[p - 1].add(q)
     blocks[q - 1].discard(q)
     return canonicalize(blocks, n)
+
+
+def peel_candidate(rng: random.Random, blocks: int, peels: int, rotate: int | None) -> PartitionDiagram:
+    """A structural candidate whose first ``peels`` splits each peel off one block.
+
+    Block j < peels takes top nodes j + 1 and n - j and the two bottom
+    nodes below those of block j - 1, the largest for j = 0, so its top
+    interval holds every later block's tops.  The other blocks form a
+    stretched identity, with sizes of one to three, on the top and bottom
+    nodes left in between; their tops share no point.  ``rotate`` = j moves
+    the top interval of the j-th of them behind those of the next two, a
+    231 pattern that breaks the factor order.
+    """
+    sizes = [rng.randint(1, 3) for _ in range(blocks - peels)]
+    m = sum(sizes)
+    n = m + 2 * peels
+    order = list(range(len(sizes)))
+    if rotate is not None:
+        order[rotate : rotate + 3] = order[rotate + 1 : rotate + 3] + [rotate]
+    starts = [sum(sizes[:j]) for j in range(len(sizes))]
+    tops, lo = [0] * len(sizes), peels
+    for j in order:
+        tops[j] = ((1 << sizes[j]) - 1) << lo
+        lo += sizes[j]
+    out = [(t, ((1 << s) - 1) << start) for t, s, start in zip(tops, sizes, starts)]
+    out += [((1 << j) | (1 << (n - 1 - j)), 3 << (n - 2 - 2 * j)) for j in range(peels)]
+    return PartitionDiagram(n, out)

@@ -191,23 +191,57 @@ def test_structural_predicate_examples():
 
 
 def test_structural_test_stops_at_first_broken_step(monkeypatch):
-    calls = []
-    real_broken = sorting_module._broken
+    calls, planted = [], []
+    real_broken, real_plant = sorting_module._broken, sorting_module._plant
 
     def counting_broken(chosen, *factors):
         calls.append(chosen[3])
         return real_broken(chosen, *factors)
 
     monkeypatch.setattr(sorting_module, "_broken", counting_broken)
+    monkeypatch.setattr(sorting_module, "_plant", lambda tree: planted.append(len(tree[0])) or real_plant(tree))
     # The first split chooses {2,3'} and puts {1,2'} in L and {3,1'} in R: broken at once.
     assert not is_sss_theorem(embed_permutation((2, 3, 1)))
     assert calls == [(0b10, 0b100)]
-    calls.clear()
-    # A stretched identity of order 64 on 16 consecutive intervals.
+    # A stretched identity of order 64 on 16 consecutive intervals: its tops are
+    # disjoint and its stack image rises, so no split is made, let alone tested.
     cuts = [0, *sorted(random.Random(7).sample(range(1, 64), 15)), 64]
-    d = PartitionDiagram(64, [(((1 << (hi - lo)) - 1) << lo,) * 2 for lo, hi in zip(cuts, cuts[1:])])
-    assert is_sss_theorem(d)
-    assert 1 < len(calls) == len(sort_diagram_traced(d)[1])  # one step per trace line, none on empty pieces
+    bottoms = [((1 << (hi - lo)) - 1) << lo for lo, hi in zip(cuts, cuts[1:])]
+    calls.clear()
+    planted.clear()
+    assert is_sss_theorem(PartitionDiagram(64, [(b, b) for b in bottoms]))
+    assert calls == [] and planted == []
+    # The same bottoms with the top intervals of blocks 4, 5, 6 in the order 5, 6, 4:
+    # the stack image falls, so the piece is planted and split step by step, 15
+    # down to 7 unbroken and 6 broken, with 5 and 4 on its two sides.
+    order = [0, 1, 2, 3, 5, 6, 4, *range(7, 16)]
+    tops, lo = [0] * 16, 0
+    for j in order:
+        width = bottoms[j].bit_count()
+        tops[j], lo = ((1 << width) - 1) << lo, lo + width
+    d = PartitionDiagram(64, list(zip(tops, bottoms)))
+    calls.clear()
+    planted.clear()
+    reason = _structural_failure(d)
+    assert reason == structural_failure_by_definition(d) == "split step 10: factor order broken"
+    assert len(calls) == 10 and planted == [16]
+
+
+def test_structural_test_peels_blocks_that_overlap_every_other(monkeypatch):
+    # Top intervals (1,17) (2,20) (3,18) (7,7) (12,16) (19,19).  The first split,
+    # at {19,20'}, puts {2,20,18',19'} in the middle and the other four on the left.
+    # The left piece's tops share no point, but it peels twice, at (3,18) and then
+    # (1,17), and leaves (7,7) and (12,16), disjoint and in order: one plant in all.
+    planted = []
+    real_plant = sorting_module._plant
+    monkeypatch.setattr(sorting_module, "_plant", lambda tree: planted.append(len(tree[0])) or real_plant(tree))
+    d = parse_diagram(
+        "{1,4,5,13,15,17,5',6',7',8',9',10'|2,20,18',19'|3,6,8,9,10,11,18,11',12',13',14',15',16',17'"
+        "|7,4'|12,14,16,1',2',3'|19,20'}",
+        20,
+    )
+    assert _structural_failure(d) is None is structural_failure_by_definition(d)
+    assert planted == [6]
 
 
 def test_structural_failure_on_chains():

@@ -10,6 +10,7 @@ import re
 import shutil
 import subprocess
 import sys
+from math import factorial
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,7 @@ import pytest
 import diagramsort
 import diagramsort.cli as cli_module
 import diagramsort.verification as verification_module
-from diagramsort.analysis import VerificationError, census_stretch_sortable
+from diagramsort.analysis import CensusRow, VerificationError, _bell, census_stretch_sortable
 from diagramsort.cli import run
 from diagramsort.core import (
     AlgebraElement,
@@ -270,6 +271,42 @@ def test_count_sortable(capsys):
     for n in ("0", "3"):
         assert run(["count-sortable", "--n", n, "--t", "-1"]) == 1
         assert "t must be nonnegative" in capsys.readouterr().err
+
+
+def test_brute_force_scans_over_the_cap_fail_at_once(monkeypatch, capsys):
+    # The scan is named with its size before anything is scanned or printed;
+    # no scan, census table or worker starts here.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a scan started")
+
+    for name in ("count_t_stack_sortable", "_census_row", "_census_table"):
+        monkeypatch.setattr(cli_module, name, refuse)
+    huge = "1" + "0" * 20
+    perms = "error: the scan of 11! = 39916800 permutations is over the cap of 5000000\n"
+    bell = "error: the scan of Bell(14) = 190899322 diagrams is over the cap of 5000000\n"
+    for argv, err in (
+        (["count-sortable", "--n", "11"], perms),
+        (["count-sortable", "--n", "11", "--t", "3"], perms),
+        (["count-sortable", "--n", huge], f"error: the scan of {huge}! permutations is over the cap of 5000000\n"),
+        (["census", "--check", "--n", "7"], bell),
+        (["census", "--check", "--n", "1..7", "--jobs", "2"], bell),
+        (["census", "--check", "--n", f"3..{huge}"], f"error: the scan of Bell({2 * int(huge)}) diagrams is over the cap of 5000000\n"),
+    ):
+        assert run(argv) == 1, argv
+        assert capsys.readouterr() == ("", err), argv
+    # At the cap the scans start; stubs stand in for them.
+    assert factorial(10) <= cli_module.SCAN_CAP < factorial(11)
+    assert _bell(12) <= cli_module.SCAN_CAP < _bell(14)
+    monkeypatch.setattr(cli_module, "count_t_stack_sortable", lambda n, t: f"scanned {n}!")
+    assert run(["count-sortable", "--n", "10"]) == 0
+    assert capsys.readouterr().out == "scanned 10!\n"
+    rows = []
+    monkeypatch.setattr(cli_module, "_census_table", lambda: None)
+    monkeypatch.setattr(cli_module, "_census_row", lambda n, count, check, jobs: rows.append((n, check)) or CensusRow(n, 0, 0, 0.0))
+    assert run(["census", "--check", "--n", "5..6"]) == 0
+    # Without --check a census scans nothing, so no cap applies.
+    assert run(["census", "--n", "7"]) == 0
+    assert rows == [(5, True), (6, True), (7, False)]
 
 
 def test_render_emits_dot(capsys):

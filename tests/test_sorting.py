@@ -17,6 +17,7 @@ from reference import (
     cluster_chain_diagram,
     common_point_diagram,
     one_item_cluster_diagram,
+    peel_candidate,
     sort_diagram_by_definition,
     sparse_diagram,
     stretched_chain,
@@ -434,7 +435,8 @@ def test_sort_on_planted_chains(monkeypatch):
 def test_one_block_chains_plant_each_item_once(monkeypatch):
     # A subtree is a range of its planted tree's items, so every walk that
     # splits a chain of one-block clusters plants all of its items in one
-    # call; the plain sort stack-sorts the chain and plants nothing.
+    # call; the plain sort stack-sorts the chain and the structural test reads
+    # the stack's image, and neither plants anything.
     planted = _count_plants(monkeypatch)
     rng = random.Random(21)
     for d in (
@@ -446,7 +448,7 @@ def test_one_block_chains_plant_each_item_once(monkeypatch):
         for walk in (sort_diagram, sort_diagram_traced, is_sss_theorem):
             planted.clear()
             walk(d)
-            assert planted == ([] if walk is sort_diagram else [d.propagation_number()]), (walk.__name__, d.order)
+            assert planted == ([d.propagation_number()] if walk is sort_diagram_traced else []), (walk.__name__, d.order)
 
 
 def test_common_point_pieces_sort_without_a_scan(monkeypatch):
@@ -516,6 +518,60 @@ def test_plain_sort_drops_the_stack_pass_at_an_overlap(monkeypatch):
         image = sort_diagram(d)
         assert planted[:1] == [199], (p, q)
         assert image == sort_diagram_by_definition(d) == sort_diagram_traced(d)[0], (p, q)
+
+
+def test_plain_sort_guard_keeps_images(monkeypatch):
+    # A fresh piece runs the stack pass only when its first two top intervals
+    # are disjoint.  Widened at p = 1, a permutation's first pair overlaps, so
+    # the pass is skipped and the piece is planted whole, as when it is dropped.
+    planted = _count_plants(monkeypatch)
+    rng = random.Random(33)
+    for q in range(3, 200, 7):
+        d = widened_permutation(rng, 200, 1, q)
+        planted.clear()
+        image = sort_diagram(d)
+        assert planted[:1] == [199], q
+        assert image == sort_diagram_by_definition(d) == sort_diagram_traced(d)[0], q
+    for n in range(2, 65):
+        d = common_point_diagram(rng, n)
+        planted.clear()
+        image = sort_diagram(d)
+        assert planted == []
+        assert image == sort_diagram_by_definition(d) == sort_diagram_traced(d)[0], format_diagram(d)
+
+
+def test_peel_shaped_candidates_plant_at_most_once(monkeypatch):
+    # Three blocks whose tops span all later ones peel off one split each; the
+    # stretched identity left has disjoint tops.  With three of its blocks
+    # rotated it breaks k steps after the peels, and only it is planted.
+    planted = _count_plants(monkeypatch)
+    groups, several, real_groups = [], 0, sorting_module._groups
+    monkeypatch.setattr(sorting_module, "_groups", lambda mid: groups.append(len(found := real_groups(mid))) or found)
+    rng = random.Random(32)
+    for blocks in range(4, 40):
+        for k in (None, 1, 2, 3):
+            if k is not None and blocks - 3 < k + 2:
+                continue
+            d = peel_candidate(rng, blocks, 3, None if k is None else blocks - 5 - k)
+            planted.clear()
+            reason = _structural_failure(d)
+            assert reason == structural_failure_by_definition(d), format_diagram(d)
+            assert reason == (k and f"split step {3 + k}: factor order broken")
+            assert planted == ([] if k is None else [blocks - 3])
+            planted.clear()
+            image = sort_diagram(d)
+            assert planted == [] and image == sort_diagram_by_definition(d) == sort_diagram_traced(d)[0]
+            # Some blocks between lose their bottoms to bottom-only blocks; a
+            # peel may then leave its middle in several groups.
+            split = []
+            for t, b in d.blocks:
+                split += [(t, 0), (0, b)] if t & 0b111 == 0 and rng.random() < 0.3 else [(t, b)]
+            d = PartitionDiagram(d.order, split)
+            groups.clear()
+            image = sort_diagram(d)
+            several += max(groups, default=0) > 1
+            assert image == sort_diagram_by_definition(d) == sort_diagram_traced(d)[0], format_diagram(d)
+    assert several
 
 
 def test_sort_on_cluster_chains(monkeypatch):
