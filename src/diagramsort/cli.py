@@ -128,6 +128,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_census(args: argparse.Namespace) -> int:
     orders = _parse_order_range(args.n)
+    if args.jobs < 1:  # before the header; _census_row checks it too, for library callers
+        raise ValueError("jobs must be positive")
     if args.check:
         _cap_scan(f"Bell({2 * orders[-1]})", lambda n: _bell(2 * n), orders[-1], "diagrams")
     print("# sortable counts are computed, not from paper", file=sys.stderr)

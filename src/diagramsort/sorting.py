@@ -13,16 +13,11 @@ over the blocks with top nodes in least-top order.  Each piece is swept
 into top-overlap clusters with a Cartesian tree over them, keyed by
 bottom masks: on a permutation, the tree :func:`sort_word`'s stack
 builds.  A split at a one-block cluster is a tree node; only a cluster of
-several blocks is scanned.  The plain sort and the structural test try
-three closed forms on a fresh piece before they plant it: one whose top
-intervals all share a point comes out by one sort by bottom mask; one
-whose top intervals are disjoint by one pass through a stack, the word
-sort's, which is dropped at the first overlapping interval; and one whose
-block with the largest bottom mask overlaps every other block's tops is
-split there at once, its other blocks the next piece.  The structural
-test counts these splits without making them, and plants a disjoint piece
-only when its stack image is out of order.  One :class:`PartitionDiagram`
-is built per sort, in one pass over the walk's blocks and the blocks without tops.
+several blocks is scanned.  The plain sort and the structural test settle
+a fresh piece in one of two closed forms before they plant it, when its
+top intervals share a point or are disjoint; :func:`_walk` gives the
+argument.  One :class:`PartitionDiagram` is built per sort, in one pass
+over the walk's blocks and the blocks without tops.
 """
 
 from __future__ import annotations
@@ -217,7 +212,7 @@ def _walk(items: list[Item], step: Callable[..., bool] | None = None) -> list[Bl
     swept again with the subtree beside it.
 
     The plain sort and the structural test (``step`` None or
-    :func:`_broken`) try three closed forms on a fresh piece before they
+    :func:`_broken`) try two closed forms on a fresh piece before they
     plant it.  When the top intervals all share a point (Helly's theorem in
     1D: intervals that pairwise overlap do), they are one cluster, and C,
     the item with the largest bottom mask, overlaps every other item, so L
@@ -231,23 +226,17 @@ def _walk(items: list[Item], step: Callable[..., bool] | None = None) -> list[Bl
     nothing is in the middle, so the piece comes out in its tree's
     post-order: the keys' stack-sorting image (Knuth, TAOCP 2.2.1), popping
     ties as the tree sends them to the later item.  At the first overlap
-    the pass is dropped and the piece is planted.  When the first two items
-    overlap, C overlaps every other item iff lo(C) <= mh and hi(C) >= ml,
-    mh the least largest top and ml the largest least top (the last
-    item's); this holds even when C attains mh or ml itself.  Then L and R
-    are empty and C is peeled off: its middle groups are the next pieces,
-    one piece when they all propagate.  A peel shortens its piece's list in
-    place, ``items`` too.
+    the pass is dropped and the piece is planted.
 
     The structural test makes none of these splits, it counts them.  Its
     items all propagate, so a piece makes one split per item.  Splits with
-    a common point or a peel have one factor each, so none breaks.  A
-    stack's output rises iff at every node of its tree the left subtree
-    lies below the right one, and interval bottoms compare as their masks
-    do, so a piece with disjoint tops is unbroken iff its image's bottoms
-    rise.  If they do not, the piece is planted, and its broken step is
-    found and numbered split by split.  The trace and :func:`decompose`
-    split every piece step by step.
+    a common point have one factor each, so none breaks.  A stack's output
+    rises iff at every node of its tree the left subtree lies below the
+    right one, and interval bottoms compare as their masks do, so a piece
+    with disjoint tops is unbroken iff its image's bottoms rise.  If they
+    do not, the piece is planted, and its broken step is found and numbered
+    split by split.  The trace and :func:`decompose` split every piece step
+    by step.
 
     ``step(chosen, left, groups, right)`` is called on each split in
     pre-order, C an item and the factors pieces or None; if it returns
@@ -289,14 +278,6 @@ def _walk(items: list[Item], step: Callable[..., bool] | None = None) -> list[Bl
                         if bottoms == sorted(bottoms):  # unbroken: the image's bottoms rise
                             steps += len(titems)
                             continue
-                else:  # the first pair overlaps: peel C off if it overlaps every other item
-                    c = max(titems, key=_bottom)
-                    if c[2] and c[0] <= h0 and c[1] >= ml and c[0] <= min(map(_largest_top, titems)):
-                        steps += 1
-                        titems.remove(c)
-                        work.append(c[3])
-                        work += reversed(_groups(titems))
-                        continue
             i = _plant(tree)
         _, starts, keys, tops, lefts, rights, _ = tree
         key = keys[i]

@@ -518,15 +518,16 @@ def widened_permutation(rng: random.Random, n: int, p: int, q: int) -> Partition
 
 
 def peel_candidate(rng: random.Random, blocks: int, peels: int, rotate: int | None) -> PartitionDiagram:
-    """A structural candidate whose first ``peels`` splits each peel off one block.
+    """A structural candidate with ``peels`` nested blocks over a stretched identity.
 
     Block j < peels takes top nodes j + 1 and n - j and the two bottom
     nodes below those of block j - 1, the largest for j = 0, so its top
-    interval holds every later block's tops.  The other blocks form a
-    stretched identity, with sizes of one to three, on the top and bottom
-    nodes left in between; their tops share no point.  ``rotate`` = j moves
-    the top interval of the j-th of them behind those of the next two, a
-    231 pattern that breaks the factor order.
+    interval holds every later block's tops and its bottoms lie above
+    theirs.  The other blocks form a stretched identity, with sizes of one
+    to three, on the top and bottom nodes left in between; their tops share
+    no point.  ``rotate`` = j moves the top interval of the j-th of them
+    behind those of the next two, a 231 pattern that breaks the factor
+    order.
     """
     sizes = [rng.randint(1, 3) for _ in range(blocks - peels)]
     m = sum(sizes)

@@ -227,11 +227,12 @@ def test_structural_test_stops_at_first_broken_step(monkeypatch):
     assert len(calls) == 10 and planted == [16]
 
 
-def test_structural_test_peels_blocks_that_overlap_every_other(monkeypatch):
+def test_structural_test_on_blocks_that_overlap_every_other(monkeypatch):
     # Top intervals (1,17) (2,20) (3,18) (7,7) (12,16) (19,19).  The first split,
     # at {19,20'}, puts {2,20,18',19'} in the middle and the other four on the left.
-    # The left piece's tops share no point, but it peels twice, at (3,18) and then
-    # (1,17), and leaves (7,7) and (12,16), disjoint and in order: one plant in all.
+    # The left piece's tops share no point and its first pair overlaps, so it is
+    # planted, and so is the middle its split at (3,18) leaves.  The split at
+    # (1,17) leaves (7,7) and (12,16), disjoint and in order: no plant.
     planted = []
     real_plant = sorting_module._plant
     monkeypatch.setattr(sorting_module, "_plant", lambda tree: planted.append(len(tree[0])) or real_plant(tree))
@@ -241,7 +242,7 @@ def test_structural_test_peels_blocks_that_overlap_every_other(monkeypatch):
         20,
     )
     assert _structural_failure(d) is None is structural_failure_by_definition(d)
-    assert planted == [6]
+    assert planted == [6, 4, 3]
 
 
 def test_structural_failure_on_chains():

@@ -8,8 +8,10 @@ import json
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
+import time
 from math import factorial
 from pathlib import Path
 
@@ -175,7 +177,7 @@ def test_census_rejects_nonpositive_jobs(capsys):
         assert run(["census", *args]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.endswith("\nerror: jobs must be positive\n")
+        assert captured.err == "error: jobs must be positive\n"  # no header before it
 
 
 def test_census_check_exits_two_on_verification_error(monkeypatch, capsys):
@@ -237,6 +239,47 @@ def test_ctrl_c_keeps_the_printed_rows_and_exits_130(monkeypatch, capsys):
     assert [line.split("\t")[:3] for line in captured.out.splitlines()] == [["1", "2", "1"], ["2", "15", "3"]]
     assert captured.err.endswith("\ninterrupted\n")
     assert "Traceback" not in captured.err
+
+
+def _group_members(pgid: int) -> list[int]:
+    """The processes of a process group, read from /proc."""
+    members = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        with contextlib.suppress(OSError):
+            if int(stat.read_text().rpartition(")")[2].split()[2]) == pgid:
+                members.append(int(stat.parent.name))
+    return members
+
+
+@pytest.mark.skipif(os.environ.get("DIAGRAMSORT_DEEP") != "1", reason="set DIAGRAMSORT_DEEP=1 to interrupt a census scan")
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="one core: _map_chunks starts no pool")
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc to see the workers")
+def test_ctrl_c_with_workers_exits_130_and_leaves_none_running():
+    # Ctrl-C in a terminal sends SIGINT to the whole foreground group, workers too.
+    env = {**os.environ, "PYTHONPATH": str(Path(diagramsort.__file__).resolve().parents[1])}
+    args = [sys.executable, "-m", "diagramsort", "census", "--check", "--n", "6", "--jobs", "2"]
+    proc = subprocess.Popen(args, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env, start_new_session=True)
+    try:
+        header = proc.stderr.readline()
+        assert header == "# sortable counts are computed, not from paper\n"
+        time.sleep(2)
+        assert len(_group_members(proc.pid)) > 1  # the pool is up
+        os.killpg(proc.pid, signal.SIGINT)
+        out, err = proc.communicate(timeout=60)
+        assert proc.returncode == 130
+        assert (out, err) == ("", "interrupted\n")
+        deadline = time.monotonic() + 30
+        while True:  # orphaned workers are reaped by init, not by this process
+            try:
+                os.killpg(proc.pid, 0)
+            except ProcessLookupError:
+                break
+            assert time.monotonic() < deadline, f"left in the group: {_group_members(proc.pid)}"
+            time.sleep(0.1)
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
 
 
 def test_out_of_memory_exits_one(monkeypatch, capsys):
