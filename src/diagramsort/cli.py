@@ -16,7 +16,7 @@ from math import factorial
 from typing import Callable, Iterator, Sequence
 
 from .analysis import VerificationError, _bell, _census_row, _census_table, count_t_stack_sortable, is_sss_direct
-from .core import _bits, compose, format_diagram, parse_diagram, to_dot
+from .core import _bits, _read_int, compose, format_diagram, parse_diagram, to_dot
 from .sorting import TraceEvent, _structural_failure, sort_diagram, sort_diagram_traced
 from .stretch import SetComposition, is_stretch_of_identity, stretch_map
 from .verification import run_checks
@@ -68,7 +68,7 @@ def _cap_scan(name: str, size: Callable[[int], int], n: int, what: str) -> None:
 def _parse_order_range(text: str) -> range:
     lo_text, dots, hi_text = text.partition("..")
     try:
-        lo, hi = int(lo_text), int(hi_text if dots else lo_text)
+        lo, hi = _read_int(lo_text), _read_int(hi_text if dots else lo_text)
     except ValueError:
         raise ValueError(f"bad order range {text!r}") from None
     if lo > hi:

@@ -17,8 +17,8 @@ set when index i belongs to the block.  Python integers put no cap on the
 order.  The kernels, the text parser included, work on masks, not node
 lists; the constructor checks validity by OR and sum.  Signed nodes are
 checked in one place, ``_block_masks``, which names the first zero,
-out-of-range or repeated node of a block.  The text layer shares one
-grow-only table of node names and their bits (indices up to 1024):
+out-of-range or repeated node of a block.  The text layer reads node
+names and their bits from cached tables, one per power of two to 1024:
 ``format_diagram`` looks names up, and ``parse_diagram`` sums a block's
 name bits, reading token by token only other spellings ("-4", "04"),
 larger indices and faulty blocks.  Every block read off the table hands
@@ -32,7 +32,8 @@ before all bottom nodes), so equal diagrams compare and hash equal.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
+from functools import cache
+from typing import Callable, Iterable, Iterator, Mapping
 
 __all__ = [
     "PartitionDiagram",
@@ -346,42 +347,31 @@ def enumerate_diagrams(order: int, prefix: tuple[int, ...] = ()) -> Iterator[Par
 # diagram; singleton blocks may be omitted and are restored on parse.
 
 
-class _NodeNames(NamedTuple):
-    """Node names for indices 1..capacity and the bit each name stands for.
+# A bottom bit is an int of about 2*capacity bits, so a table's bytes grow
+# as capacity squared; nodes past this limit are named and read one by one.
+_NAMES_LIMIT = 1024
+
+
+@cache
+def _node_names(capacity: int) -> tuple[int, list[str], list[str], dict[str, int]]:
+    """Names for indices 1..capacity and their bits, as ``(capacity, tops, bottoms, bits)``.
 
     ``tops[i]`` is ``"i"`` and ``bottoms[i]`` is ``"i'"`` (index 0 is
     unused).  ``bits`` maps ``"i"`` to ``1 << (i-1)`` and ``"i'"`` to
     ``1 << (capacity+i-1)``, so the sum over a block's names holds its
-    top mask below bit ``capacity`` and its bottom mask above.
+    top mask below bit ``capacity`` and its bottom mask above.  No caller
+    may change the cached lists or dict.
     """
-
-    capacity: int
-    tops: list[str]
-    bottoms: list[str]
-    bits: dict[str, int]
-
-
-def _node_names(capacity: int) -> _NodeNames:
     tops = [str(i) for i in range(capacity + 1)]
     bottoms = [f"{i}'" for i in range(capacity + 1)]
     bits = {tops[i]: 1 << (i - 1) for i in range(1, capacity + 1)}
     bits.update((bottoms[i], 1 << (capacity + i - 1)) for i in range(1, capacity + 1))
-    return _NodeNames(capacity, tops, bottoms, bits)
+    return capacity, tops, bottoms, bits
 
 
-# A bottom bit is an int of about 2*capacity bits, so the table's bytes grow
-# as capacity squared; nodes past this limit are named and read one by one.
-_NAMES_LIMIT = 1024
-_names = _node_names(0)  # grow-only, replaced as a whole
-
-
-def _names_for(order: int) -> _NodeNames:
-    """The shared name table, grown to cover ``order`` (up to the limit)."""
-    global _names
-    names = _names
-    if names.capacity < min(order, _NAMES_LIMIT):
-        names = _names = _node_names(min(max(order, 2 * names.capacity), _NAMES_LIMIT))
-    return names
+def _names_for(order: int) -> tuple[int, list[str], list[str], dict[str, int]]:
+    """The name table of the least power of two at least ``order``, capped at the limit."""
+    return _node_names(min(1 << max(order - 1, 0).bit_length(), _NAMES_LIMIT))
 
 
 def parse_diagram(text: str, order: int) -> PartitionDiagram:
@@ -442,11 +432,19 @@ def _read_block(part: str, order: int) -> tuple[int, int]:
     return _block_masks(nodes, order)
 
 
+def _read_int(text: str) -> int:
+    """``int(text)`` for an optional ``-`` then ASCII digits, as node tokens are read; else ``ValueError``."""
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"bad integer {text!r}")
+    return int(text)
+
+
 def format_diagram(diagram: PartitionDiagram) -> str:
     """Canonical text form; inverse of :func:`parse_diagram` on its output."""
     order = diagram.order
     capacity, tops, bottoms, _ = _names_for(order)
-    if order > capacity:  # past the table's limit: name the rest for this call
+    if order > capacity:  # past the tables' limit: name the rest for this call
         tops = tops + [str(i) for i in range(capacity + 1, order + 1)]
         bottoms = bottoms + [f"{i}'" for i in range(capacity + 1, order + 1)]
     parts = []

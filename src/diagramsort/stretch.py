@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .core import PartitionDiagram, _bits, _mask, canonicalize
+from .core import PartitionDiagram, _bits, _mask, _read_int, canonicalize
 
 __all__ = [
     "SetComposition",
@@ -54,7 +54,7 @@ class SetComposition:
             if not chunk:
                 raise ValueError("empty part in set composition text")
             try:
-                part = [int(tok) for tok in chunk.split(",")]
+                part = [_read_int(tok) for tok in chunk.split(",")]
             except ValueError:
                 raise ValueError(f"bad part {chunk!r} in set composition text") from None
             if len(set(part)) != len(part):

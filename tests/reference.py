@@ -517,10 +517,10 @@ def widened_permutation(rng: random.Random, n: int, p: int, q: int) -> Partition
     return canonicalize(blocks, n)
 
 
-def peel_candidate(rng: random.Random, blocks: int, peels: int, rotate: int | None) -> PartitionDiagram:
-    """A structural candidate with ``peels`` nested blocks over a stretched identity.
+def nested_top_candidate(rng: random.Random, blocks: int, nested: int, rotate: int | None) -> PartitionDiagram:
+    """A structural candidate with ``nested`` nested blocks over a stretched identity.
 
-    Block j < peels takes top nodes j + 1 and n - j and the two bottom
+    Block j < nested takes top nodes j + 1 and n - j and the two bottom
     nodes below those of block j - 1, the largest for j = 0, so its top
     interval holds every later block's tops and its bottoms lie above
     theirs.  The other blocks form a stretched identity, with sizes of one
@@ -529,17 +529,17 @@ def peel_candidate(rng: random.Random, blocks: int, peels: int, rotate: int | No
     behind those of the next two, a 231 pattern that breaks the factor
     order.
     """
-    sizes = [rng.randint(1, 3) for _ in range(blocks - peels)]
+    sizes = [rng.randint(1, 3) for _ in range(blocks - nested)]
     m = sum(sizes)
-    n = m + 2 * peels
+    n = m + 2 * nested
     order = list(range(len(sizes)))
     if rotate is not None:
         order[rotate : rotate + 3] = order[rotate + 1 : rotate + 3] + [rotate]
     starts = [sum(sizes[:j]) for j in range(len(sizes))]
-    tops, lo = [0] * len(sizes), peels
+    tops, lo = [0] * len(sizes), nested
     for j in order:
         tops[j] = ((1 << sizes[j]) - 1) << lo
         lo += sizes[j]
     out = [(t, ((1 << s) - 1) << start) for t, s, start in zip(tops, sizes, starts)]
-    out += [((1 << j) | (1 << (n - 1 - j)), 3 << (n - 2 - 2 * j)) for j in range(peels)]
+    out += [((1 << j) | (1 << (n - 1 - j)), 3 << (n - 2 - 2 * j)) for j in range(nested)]
     return PartitionDiagram(n, out)

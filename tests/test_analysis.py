@@ -537,6 +537,13 @@ def test_census_parallel_matches_serial(monkeypatch):
         assert serial._replace(elapsed=0) == parallel._replace(elapsed=0) == plain
 
 
+def test_census_rejects_nonpositive_jobs():
+    # The CLI rejects --jobs 0 before the library sees it; this is the library's own check.
+    for kwargs in ({"jobs": 0}, {"check": True, "jobs": -1}):
+        with pytest.raises(ValueError, match="^jobs must be positive$"):
+            census_stretch_sortable(3, **kwargs)
+
+
 def _structural(blocks):
     """The first three structural conditions: propagating, equal sides, interval bottom."""
     for t, b in blocks:

@@ -7,6 +7,7 @@ import io
 import json
 import os
 import re
+import shlex
 import shutil
 import signal
 import subprocess
@@ -428,6 +429,12 @@ def _exit_and_error(*argv):
         (lambda: _exit_and_error("census", "--n=1..x"), (1, "error: bad order range '1..x'\n")),
         (lambda: _exit_and_error("census", "--n=1.."), (1, "error: bad order range '1..'\n")),
         (lambda: _exit_and_error("census", "--n="), (1, "error: bad order range ''\n")),
+        (lambda: _exit_and_error("census", "--n=1_0..1_1"), (1, "error: bad order range '1_0..1_1'\n")),
+        (lambda: _exit_and_error("census", "--n=+1"), (1, "error: bad order range '+1'\n")),
+        (
+            lambda: _exit_and_error("stretch", "--alpha", "1|\u0662", "--k", "2", "--order", "2", "{1,1'}"),
+            (1, "error: bad part '\u0662' in set composition text\n"),  # Arabic-Indic 2
+        ),
         (lambda: _exit_and_error("count-sortable", "--n", "-1"), (1, "error: n must be nonnegative\n")),
         (lambda: sort_word((0, 1)), ValueError("letters must be positive")),
         (lambda: PartitionDiagram(-1, ()), ValueError("order must be nonnegative")),
@@ -443,6 +450,9 @@ def _exit_and_error(*argv):
         ),
         (lambda: SetComposition.parse("1||2"), ValueError("empty part in set composition text")),
         (lambda: SetComposition.parse("  ").parts, ()),
+        (lambda: SetComposition.parse("1_0"), ValueError("bad part '1_0' in set composition text")),
+        (lambda: SetComposition.parse("\u0663"), ValueError("bad part '\u0663' in set composition text")),
+        (lambda: SetComposition.parse("1|+2"), ValueError("bad part '+2' in set composition text")),
         (lambda: eval(repr(d := parse_diagram(EX_LEFT, 5)), {"parse_diagram": parse_diagram}) == d, True),
         (lambda: repr(XiPoly([1, 0, 2])), "XiPoly((1, 0, 2))"),
         (lambda: repr(AlgebraElement(2, {})), "AlgebraElement(2, {})"),
@@ -463,10 +473,12 @@ def _exit_and_error(*argv):
     ],
     ids=[
         "census-negative-range", "census-negative-order", "census-bad-range-end", "census-open-range",
-        "census-empty-order", "count-sortable-negative-n", "sort-word-zero-letter",
+        "census-empty-order", "census-underscore-range", "census-plus-order", "stretch-unicode-digit-part",
+        "count-sortable-negative-n", "sort-word-zero-letter",
         "diagram-negative-order", "canonicalize-negative-order", "canonicalize-negative-order-before-nodes",
         "delta-negative-order", "odot-negative-order", "enumerate-negative-order", "xi-negative-power", "algebra-order-mismatch", "composition-empty-part",
-        "composition-blank-text", "diagram-repr-round-trip", "xipoly-repr", "zero-element-repr",
+        "composition-blank-text", "composition-underscore-int", "composition-unicode-digit",
+        "composition-plus-int", "diagram-repr-round-trip", "xipoly-repr", "zero-element-repr",
         "element-repr", "xipoly-times-zero", "diagram-str", "foreign-equality", "xipoly-hash", "composition-hash",
     ],
 )
@@ -525,6 +537,27 @@ def test_python_dash_m_entry_points(module):
     bad = call("parse", "--order", "1", "{1,5}")
     assert bad.returncode == 1
     assert bad.stderr.startswith("error:")
+
+
+def _mask_millis(line):
+    """A census line with its millis column or field blanked; any other line as is."""
+    return re.sub(r'"millis": \d+', '"millis": _', re.sub(r"^(\d+\t\d+\t\d+\t)\d+$", r"\g<1>_", line))
+
+
+def test_readme_console_examples(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    examples = []  # (argv, expected stdout lines)
+    for block in re.findall(r"```console\n(.*?)```", readme, re.S):
+        for line in block.splitlines():
+            if line.startswith("$ diagramsort "):
+                examples.append((shlex.split(line.removeprefix("$ diagramsort ")), []))
+            else:
+                examples[-1][1].append(line)
+    assert len(examples) == 6
+    for argv, expected in examples:
+        assert run(argv) == 0, argv
+        got = capsys.readouterr().out.splitlines()
+        assert (argv, list(map(_mask_millis, got))) == (argv, list(map(_mask_millis, expected)))
 
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos"

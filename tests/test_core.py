@@ -404,22 +404,23 @@ def test_parse_rejects_bad_input():
 
 
 @pytest.fixture
-def fresh_names(monkeypatch):
-    """The text layer's shared name table, emptied for this test."""
-    monkeypatch.setattr(core, "_names", core._node_names(0))
+def fresh_names():
+    """The text layer's cached name tables, emptied for this test."""
+    core._node_names.cache_clear()
 
 
 def test_parse_rejections_survive_a_larger_table(fresh_names):
-    parse_diagram(format_diagram(random_diagram(random.Random(3), 256)), 256)
-    assert core._names.capacity >= 256
+    for n in (256, core._NAMES_LIMIT + 9):
+        parse_diagram(format_diagram(random_diagram(random.Random(3), n)), n)
+    assert core._node_names.cache_info().currsize == 2  # the 256 and 1024 tables
     test_parse_rejects_bad_input()  # "{4}" at order 3 must still be out of range 1..3
 
 
 def test_faults_past_the_table_limit_read_as_at_order_three(fresh_names):
-    """Indices past the name table reach ``_read_block``; its faults read as at a small order."""
+    """Indices past the name tables reach ``_read_block``; its faults read as at a small order."""
 
     def faults(n):
-        i = n - 1  # past the table's limit when n is
+        i = n - 1  # past the tables' limit when n is
         return [
             (f"{{{i},x}}", "bad node token 'x'"),
             (f"{{{i},0}}", "node 0 is not valid; nodes are +i (top) or -i (bottom)"),
@@ -433,20 +434,22 @@ def test_faults_past_the_table_limit_read_as_at_order_three(fresh_names):
             with pytest.raises(ValueError) as err:
                 parse_diagram(text, n)
             assert (n, text, str(err.value)) == (n, text, message)
-    assert core._names.capacity == core._NAMES_LIMIT
+    assert core._names_for(core._NAMES_LIMIT + 9)[0] == core._NAMES_LIMIT
 
 
-def test_round_trips_as_the_table_grows_and_after(fresh_names):
+def test_round_trips_at_each_table_and_after_larger_ones(fresh_names):
     rng = random.Random(29)
     orders = [0, 1, 63, 64, 65, 128, 129, 300, core._NAMES_LIMIT + 9]
-    capacities = []
+    capacities = set()
     for n in orders + orders[::-1]:
         for d in (random_diagram(rng, n), sparse_diagram(rng, n, max(1, n // 3)), identity_diagram(n)):
             assert parse_diagram(format_diagram(d), n) == d
-        capacities.append(core._names.capacity)
-    grown = sorted(set(capacities))
-    assert all(new >= min(2 * old, core._NAMES_LIMIT) for old, new in zip(grown, grown[1:]))
-    assert capacities[-1] == core._NAMES_LIMIT  # capped: the last order is past the limit
+        capacity = core._names_for(n)[0]
+        # The least power of two at least n, capped at the limit.
+        assert capacity == min(next(1 << k for k in range(n + 1) if 1 << k >= n), core._NAMES_LIMIT)
+        capacities.add(capacity)
+    assert sorted(capacities) == [1, 64, 128, 256, 512, core._NAMES_LIMIT]
+    assert core._node_names.cache_info().currsize == len(capacities)  # one table per capacity
 
 
 def test_odd_spellings_equal_canonicalize(fresh_names):

@@ -16,8 +16,8 @@ from reference import (
     chain_diagram,
     cluster_chain_diagram,
     common_point_diagram,
+    nested_top_candidate,
     one_item_cluster_diagram,
-    peel_candidate,
     sort_diagram_by_definition,
     sparse_diagram,
     stretched_chain,
@@ -551,7 +551,7 @@ def test_nested_top_candidates_match_reference(monkeypatch):
         for k in (None, 1, 2, 3):
             if k is not None and blocks - 3 < k + 2:
                 continue
-            d = peel_candidate(rng, blocks, 3, None if k is None else blocks - 5 - k)
+            d = nested_top_candidate(rng, blocks, 3, None if k is None else blocks - 5 - k)
             reason = _structural_failure(d)
             assert reason == structural_failure_by_definition(d), format_diagram(d)
             assert reason == (k and f"split step {3 + k}: factor order broken")
